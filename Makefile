@@ -1,15 +1,21 @@
 # Standard entry points; `make check` is the verification gate
-# (vet + lint + build + race-enabled tests), also available as
-# scripts/check.sh.
+# (gofmt + vet + lint + build + perfbench vet and self-test + race-enabled
+# tests), also available as scripts/check.sh.
 
 GO ?= go
 
-.PHONY: all build vet vet-self vet-stats lint test race race-hotpath race-failover fuzz-smoke check bench bench-compare clean
+.PHONY: all build fmt-check vet vet-self vet-stats lint perfbench-test test race race-hotpath race-failover fuzz-smoke check bench bench-compare clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails on any file gofmt would rewrite. testdata/ is skipped:
+# the analyzer golden files (expect.txt) pin line numbers.
+fmt-check:
+	@out=$$(gofmt -l *.go cmd examples internal perfbench | grep -v '/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -41,6 +47,11 @@ vet-stats:
 vet-self:
 	$(GO) test ./internal/analysis -run 'TestCFG|TestCallGraph|TestGolden|TestPragmaScoping|TestLockFlow|TestSARIF'
 
+# perfbench-test vets and self-tests the benchmark (perfbench/ is its own
+# module, outside ./..., so nothing else compiles it).
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 test:
 	$(GO) test ./...
 
@@ -70,7 +81,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/gsi
 	$(GO) test -run='^$$' -fuzz=FuzzReadStreamFrame -fuzztime=5s ./internal/gsi
 
-check: vet lint build race-hotpath race-failover fuzz-smoke race
+check: fmt-check vet lint build perfbench-test race-hotpath race-failover fuzz-smoke race
 
 # Short benchmark smoke pass (full runs are driven by cmd/experiments).
 bench:

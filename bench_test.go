@@ -526,7 +526,7 @@ func BenchmarkWireDelegation(b *testing.B) {
 		}
 		ch <- pair{conn, err}
 	}()
-	cli, err := gsi.Dial(context.Background(), "tcp", ln.Addr().String(), d.Users[0], opts)
+	cli, err := gsi.Dial(context.Background(), nil, ln.Addr().String(), d.Users[0], opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func BenchmarkChannelEstablish(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conn, err := gsi.Dial(context.Background(), "tcp", ln.Addr().String(), d.Users[0], opts)
+		conn, err := gsi.Dial(context.Background(), nil, ln.Addr().String(), d.Users[0], opts)
 		if err != nil {
 			b.Fatal(err)
 		}

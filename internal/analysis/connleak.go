@@ -17,10 +17,11 @@ import (
 // edges (the conn does not exist there), Close/defer-Close kills, and any
 // escape — stored, sent, captured, returned — discharges (the new owner is
 // accountable). Call summaries carry the obligation one hop: a callee known
-// to leave its connection parameter open on failure (gsi.Client wrapping a
-// raw conn) converts the caller's fact into "still mine if the call failed",
-// so `conn, err := gsi.Client(raw, ...); if err != nil { return }` is
-// reported at the acquisition of raw.
+// to leave its connection parameter open on failure (a wrapper that can
+// return an error before closing the raw conn it was given) converts the
+// caller's fact into "still mine if the call failed", so
+// `conn, err := wrap(raw); if err != nil { return }` is reported at the
+// acquisition of raw.
 var ConnLeak = &Pass{
 	Name: "connleak",
 	Doc:  "connection or file acquired on a path that can return without Close",

@@ -86,7 +86,7 @@ func secretEscapeFunc(ctx *Context, pkg *Package, fd *ast.FuncDecl) []Diagnostic
 			}
 			diags = append(diags, pkg.diag("secretescape", obj.Pos(),
 				"%q (%s) %s in %s and is never wiped there; the escaped view keeps the plaintext alive beyond pki.WipeBytes's reach",
-				obj.Name(), tracked[obj], (f &^ escReturned).describe(), fd.Name.Name))
+				obj.Name(), tracked[obj], (f&^escReturned).describe(), fd.Name.Name))
 		}
 	}
 	return diags

@@ -357,12 +357,12 @@ var stdlibTaintSinks = map[string]stdlibSink{
 	"os.Lstat":           {taintPath, []int{0}},
 	"os.Rename":          {taintPath, []int{0, 1}},
 
-	"io.CopyN":             {taintAlloc, []int{2}},
-	"bufio.NewReaderSize":  {taintAlloc, []int{1}},
-	"bufio.NewWriterSize":  {taintAlloc, []int{1}},
-	"strings.Repeat":       {taintAlloc, []int{1}},
-	"bytes.Repeat":         {taintAlloc, []int{1}},
-	"(bytes.Buffer).Grow":  {taintAlloc, []int{0}},
+	"io.CopyN":               {taintAlloc, []int{2}},
+	"bufio.NewReaderSize":    {taintAlloc, []int{1}},
+	"bufio.NewWriterSize":    {taintAlloc, []int{1}},
+	"strings.Repeat":         {taintAlloc, []int{1}},
+	"bytes.Repeat":           {taintAlloc, []int{1}},
+	"(bytes.Buffer).Grow":    {taintAlloc, []int{0}},
 	"(strings.Builder).Grow": {taintAlloc, []int{0}},
 
 	"(net/http.Header).Set": {taintHdr, []int{-1}},

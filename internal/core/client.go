@@ -137,12 +137,11 @@ func ambiguous(op string, err error) error {
 // context aborts in-flight I/O (not just dialing) by slamming the deadline.
 type clientConn struct {
 	*gsi.Conn
-	stop chan struct{}
-	once sync.Once
+	stop func() bool // stops watching the context
 }
 
 func (cc *clientConn) Close() error {
-	cc.once.Do(func() { close(cc.stop) })
+	cc.stop()
 	return cc.Conn.Close()
 }
 
@@ -160,33 +159,15 @@ func (c *Client) connect(ctx context.Context) (*clientConn, error) {
 	if c.connErr != nil {
 		return nil, resilience.Permanent(c.connErr)
 	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	opts := gsi.AuthOptions{
+	timeout := c.timeout()
+	conn, err := gsi.Dial(ctx, c.DialContext, c.Addr, c.Credential, gsi.AuthOptions{
 		Roots:            c.Roots,
 		ExpectedPeer:     c.ExpectedServer,
 		HandshakeTimeout: timeout,
 		Cache:            c.verifyCache,
 		TLSConfig:        c.tlsCfg,
-	}
-	var raw net.Conn
-	var err error
-	if c.DialContext != nil {
-		raw, err = c.DialContext(ctx, "tcp", c.Addr)
-	} else {
-		var d net.Dialer
-		raw, err = d.DialContext(ctx, "tcp", c.Addr)
-	}
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: dial %s: %w", c.Addr, err)
-	}
-	conn, err := gsi.Client(raw, c.Credential, opts)
-	if err != nil {
-		// gsi.Client leaves the raw conn open when the handshake fails;
-		// it is still ours to close (double-close on a net.Conn is safe).
-		_ = raw.Close()
 		return nil, err
 	}
 	// The whole operation — not just the dial — respects the context: the
@@ -197,15 +178,56 @@ func (c *Client) connect(ctx context.Context) (*clientConn, error) {
 		deadline = dl
 	}
 	conn.SetDeadline(deadline)
-	cc := &clientConn{Conn: conn, stop: make(chan struct{})}
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.SetDeadline(time.Unix(1, 0)) // wake any blocked read/write
-		case <-cc.stop:
+	stop := context.AfterFunc(ctx, func() {
+		conn.SetDeadline(time.Unix(1, 0)) // wake any blocked read/write
+	})
+	return &clientConn{Conn: conn, stop: stop}, nil
+}
+
+// timeout is the per-attempt bound.
+func (c *Client) timeout() time.Duration {
+	if c.Timeout > 0 {
+		return c.Timeout
+	}
+	return 30 * time.Second
+}
+
+// exchange runs fn, one attempt of an operation, under the retry policy.
+// Each attempt gets its own channel: a new stream of mux when the caller
+// holds a multiplexed session, otherwise a fresh connection. Either way the
+// attempt's context bounds the channel's I/O.
+func (c *Client) exchange(ctx context.Context, mux *gsi.Session, fn func(ch gsi.Channel) error) error {
+	return c.do(ctx, func(ctx context.Context) error {
+		if mux != nil {
+			st, err := mux.Open(ctx)
+			if err != nil {
+				return resilience.Permanent(err) // a failed session stays failed
+			}
+			defer st.Close()
+			return fn(st)
 		}
-	}()
-	return cc, nil
+		conn, err := c.connect(ctx)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		return fn(conn.Conn)
+	})
+}
+
+// withOTP runs op and, when the repository demands a one-time password the
+// caller can compute (a secret but no answer yet), answers the challenge
+// into *answer and runs op once more (paper §6.3).
+func withOTP[T any](answer *string, secret string, op func() (T, error)) (T, error) {
+	v, err := op()
+	var challenge *ErrOTPRequired
+	if err == nil || secret == "" || *answer != "" || !errors.As(err, &challenge) {
+		return v, err
+	}
+	if *answer, err = otp.Respond(challenge.Challenge, secret); err != nil {
+		return v, err
+	}
+	return op()
 }
 
 // roundTrip sends req and reads the server's verdict. Server-side verdicts
@@ -294,17 +316,6 @@ func (c *Client) Put(ctx context.Context, opts PutOptions) error {
 	if lifetime <= 0 {
 		lifetime = 7 * 24 * time.Hour
 	}
-	return c.do(ctx, func(ctx context.Context) error {
-		return c.putOnce(ctx, opts, lifetime)
-	})
-}
-
-func (c *Client) putOnce(ctx context.Context, opts PutOptions, lifetime time.Duration) error {
-	conn, err := c.connect(ctx)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
 	req := &protocol.Request{
 		Command:       protocol.CmdPut,
 		Username:      opts.Username,
@@ -318,20 +329,23 @@ func (c *Client) putOnce(ctx context.Context, opts PutOptions, lifetime time.Dur
 		Renewable:     opts.Renewable,
 		KeyAlg:        c.wireKeyAlg(),
 	}
-	// The first response precedes any server-side state change: failures
-	// up to here are retry-safe.
-	if _, err := c.roundTrip(conn.Conn, req, ""); err != nil {
-		return err
-	}
-	// Commit window: the server stores the credential when the delegation
-	// completes, so a fault from here on leaves the outcome unknown.
-	if _, err := gsi.Delegate(conn.Conn, c.Credential, proxy.Options{
-		Type:     c.ProxyType,
-		Lifetime: lifetime,
-	}); err != nil {
-		return ambiguous("PUT", fmt.Errorf("core: delegate to repository: %w", err))
-	}
-	return ambiguous("PUT", c.readFinal(conn.Conn))
+	return c.exchange(ctx, nil, func(ch gsi.Channel) error {
+		// The first response precedes any server-side state change: failures
+		// up to here are retry-safe.
+		if _, err := c.roundTrip(ch, req, ""); err != nil {
+			return err
+		}
+		// Commit window: the server stores the credential when the
+		// delegation completes, so a fault from here on leaves the outcome
+		// unknown.
+		if _, err := gsi.Delegate(ch, c.Credential, proxy.Options{
+			Type:     c.ProxyType,
+			Lifetime: lifetime,
+		}); err != nil {
+			return ambiguous("PUT", fmt.Errorf("core: delegate to repository: %w", err))
+		}
+		return ambiguous("PUT", c.readFinal(ch))
+	})
 }
 
 // GetOptions parameterizes Get (myproxy-get-delegation, paper Fig. 2).
@@ -363,78 +377,53 @@ type GetOptions struct {
 // myproxy-get-delegation operation of paper Figure 2. Get is idempotent and
 // retries any transient fault under the Retry policy.
 func (c *Client) Get(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
-	cred, err := c.get(ctx, opts)
-	if err == nil {
-		return cred, nil
-	}
-	var otpErr *ErrOTPRequired
-	if errors.As(err, &otpErr) && opts.OTPSecret != "" && opts.OTP == "" {
-		resp, rerr := otp.Respond(otpErr.Challenge, opts.OTPSecret)
-		if rerr != nil {
-			return nil, rerr
+	return c.get(ctx, nil, opts)
+}
+
+// get is Get with each attempt on a stream of mux, or on a fresh connection
+// when mux is nil.
+func (c *Client) get(ctx context.Context, mux *gsi.Session, opts GetOptions) (*pki.Credential, error) {
+	return withOTP(&opts.OTP, opts.OTPSecret, func() (*pki.Credential, error) {
+		req := &protocol.Request{
+			Command:    protocol.CmdGet,
+			Username:   opts.Username,
+			Passphrase: opts.Passphrase,
+			Lifetime:   opts.Lifetime,
+			CredName:   opts.CredName,
+			TaskHint:   opts.TaskHint,
+			OTP:        opts.OTP,
+			Renewal:    opts.Renewal,
 		}
-		opts.OTP = resp
-		return c.get(ctx, opts)
-	}
-	return nil, err
-}
-
-func (c *Client) get(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
-	var cred *pki.Credential
-	err := c.do(ctx, func(ctx context.Context) error {
-		var err error
-		cred, err = c.getOnce(ctx, opts)
-		return err
+		var cred *pki.Credential
+		err := c.exchange(ctx, mux, func(ch gsi.Channel) (err error) {
+			if _, err = c.roundTrip(ch, req, ""); err != nil {
+				return err
+			}
+			if cred, err = gsi.RequestDelegationFrom(ch, c.KeySource, c.keySpec(), c.Roots); err != nil {
+				return fmt.Errorf("core: receive delegation: %w", err)
+			}
+			return c.readFinal(ch)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return cred, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cred, nil
-}
-
-func (c *Client) getOnce(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
-	conn, err := c.connect(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	req := &protocol.Request{
-		Command:    protocol.CmdGet,
-		Username:   opts.Username,
-		Passphrase: opts.Passphrase,
-		Lifetime:   opts.Lifetime,
-		CredName:   opts.CredName,
-		TaskHint:   opts.TaskHint,
-		OTP:        opts.OTP,
-		Renewal:    opts.Renewal,
-	}
-	if _, err := c.roundTrip(conn.Conn, req, ""); err != nil {
-		return nil, err
-	}
-	cred, err := gsi.RequestDelegationFrom(conn.Conn, c.KeySource, c.keySpec(), c.Roots)
-	if err != nil {
-		return nil, fmt.Errorf("core: receive delegation: %w", err)
-	}
-	if err := c.readFinal(conn.Conn); err != nil {
-		return nil, err
-	}
-	return cred, nil
 }
 
 // Info lists the credentials stored under username that the pass phrase
 // authenticates (myproxy-info). Info is idempotent and retries transient
 // faults.
 func (c *Client) Info(ctx context.Context, username, passphrase string) ([]protocol.CredInfo, error) {
+	return c.info(ctx, nil, username, passphrase)
+}
+
+// info is Info on a stream of mux, or on a fresh connection when mux is nil.
+func (c *Client) info(ctx context.Context, mux *gsi.Session, username, passphrase string) ([]protocol.CredInfo, error) {
+	req := &protocol.Request{Command: protocol.CmdInfo, Username: username, Passphrase: passphrase}
 	var infos []protocol.CredInfo
-	err := c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		resp, err := c.roundTrip(conn.Conn, &protocol.Request{
-			Command: protocol.CmdInfo, Username: username, Passphrase: passphrase,
-		}, "")
+	err := c.exchange(ctx, mux, func(ch gsi.Channel) error {
+		resp, err := c.roundTrip(ch, req, "")
 		if err != nil {
 			return err
 		}
@@ -452,15 +441,11 @@ func (c *Client) Info(ctx context.Context, username, passphrase string) ([]proto
 // request was delivered is ambiguous (the credential may already be gone)
 // and surfaces as *resilience.AmbiguousError.
 func (c *Client) Destroy(ctx context.Context, username, passphrase, credName string) error {
-	return c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		_, err = c.roundTrip(conn.Conn, &protocol.Request{
-			Command: protocol.CmdDestroy, Username: username, Passphrase: passphrase, CredName: credName,
-		}, "DESTROY")
+	req := &protocol.Request{
+		Command: protocol.CmdDestroy, Username: username, Passphrase: passphrase, CredName: credName,
+	}
+	return c.exchange(ctx, nil, func(ch gsi.Channel) error {
+		_, err := c.roundTrip(ch, req, "DESTROY")
 		return err
 	})
 }
@@ -469,16 +454,12 @@ func (c *Client) Destroy(ctx context.Context, username, passphrase, credName str
 // (myproxy-change-passphrase). Same commit semantics as Destroy: only
 // pre-delivery faults retry.
 func (c *Client) ChangePassphrase(ctx context.Context, username, oldPass, newPass, credName string) error {
-	return c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		_, err = c.roundTrip(conn.Conn, &protocol.Request{
-			Command: protocol.CmdChangePassphrase, Username: username,
-			Passphrase: oldPass, NewPassphrase: newPass, CredName: credName,
-		}, "CHANGE_PASSPHRASE")
+	req := &protocol.Request{
+		Command: protocol.CmdChangePassphrase, Username: username,
+		Passphrase: oldPass, NewPassphrase: newPass, CredName: credName,
+	}
+	return c.exchange(ctx, nil, func(ch gsi.Channel) error {
+		_, err := c.roundTrip(ch, req, "CHANGE_PASSPHRASE")
 		return err
 	})
 }
@@ -512,29 +493,24 @@ func (c *Client) Store(ctx context.Context, opts StoreOptions) error {
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		req := &protocol.Request{
-			Command:     protocol.CmdStore,
-			Username:    opts.Username,
-			Passphrase:  opts.Passphrase,
-			CredName:    opts.CredName,
-			Description: opts.Description,
-			Retrievers:  opts.Retrievers,
-			TaskTags:    opts.TaskTags,
-		}
-		if _, err := c.roundTrip(conn.Conn, req, ""); err != nil {
+	req := &protocol.Request{
+		Command:     protocol.CmdStore,
+		Username:    opts.Username,
+		Passphrase:  opts.Passphrase,
+		CredName:    opts.CredName,
+		Description: opts.Description,
+		Retrievers:  opts.Retrievers,
+		TaskTags:    opts.TaskTags,
+	}
+	return c.exchange(ctx, nil, func(ch gsi.Channel) error {
+		if _, err := c.roundTrip(ch, req, ""); err != nil {
 			return err
 		}
 		// Commit window: the server stores the blob when it arrives.
-		if err := conn.WriteMessage(blob); err != nil {
+		if err := ch.WriteMessage(blob); err != nil {
 			return ambiguous("STORE", err)
 		}
-		return ambiguous("STORE", c.readFinal(conn.Conn))
+		return ambiguous("STORE", c.readFinal(ch))
 	})
 }
 
@@ -552,56 +528,39 @@ type RetrieveOptions struct {
 // Store. Unsealing happens client-side with the pass phrase. Retrieve is
 // idempotent and retries any transient fault.
 func (c *Client) Retrieve(ctx context.Context, opts RetrieveOptions) (*pki.Credential, error) {
-	cred, err := c.retrieve(ctx, opts)
-	if err == nil {
-		return cred, nil
-	}
-	var otpErr *ErrOTPRequired
-	if errors.As(err, &otpErr) && opts.OTPSecret != "" && opts.OTP == "" {
-		resp, rerr := otp.Respond(otpErr.Challenge, opts.OTPSecret)
-		if rerr != nil {
-			return nil, rerr
-		}
-		opts.OTP = resp
-		return c.retrieve(ctx, opts)
-	}
-	return nil, err
-}
-
-func (c *Client) retrieve(ctx context.Context, opts RetrieveOptions) (*pki.Credential, error) {
-	var cred *pki.Credential
-	err := c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		resp, err := c.roundTrip(conn.Conn, &protocol.Request{
+	return withOTP(&opts.OTP, opts.OTPSecret, func() (*pki.Credential, error) {
+		req := &protocol.Request{
 			Command:    protocol.CmdRetrieve,
 			Username:   opts.Username,
 			Passphrase: opts.Passphrase,
 			CredName:   opts.CredName,
 			TaskHint:   opts.TaskHint,
 			OTP:        opts.OTP,
-		}, "")
-		if err != nil {
-			return err
 		}
-		plain, err := pki.OpenBytes(resp.Blob, []byte(opts.Passphrase))
+		var blob []byte
+		err := c.exchange(ctx, nil, func(ch gsi.Channel) error {
+			resp, err := c.roundTrip(ch, req, "")
+			if err != nil {
+				return err
+			}
+			blob = resp.Blob
+			return nil
+		})
 		if err != nil {
-			// The blob arrived intact over TLS; a bad unseal is a bad
-			// pass phrase or corrupt deposit, not a transport fault.
-			return resilience.Permanent(err)
+			return nil, err
 		}
-		cred, err = pki.DecodeCredentialPEM(plain, nil)
+		// The blob arrived intact over TLS; a bad unseal is a bad pass
+		// phrase or corrupt deposit, not a transport fault, so it is
+		// checked once, outside the retry loop.
+		plain, err := pki.OpenBytes(blob, []byte(opts.Passphrase))
+		if err != nil {
+			return nil, err
+		}
+		cred, err := pki.DecodeCredentialPEM(plain, nil)
 		pki.WipeBytes(plain) // decoded into cred; drop the plaintext PEM
 		if err != nil {
-			return resilience.Permanent(err)
+			return nil, err
 		}
-		return nil
+		return cred, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cred, nil
 }

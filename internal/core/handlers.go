@@ -18,6 +18,7 @@ import (
 // either a single request/response exchange (plus any delegation the
 // command implies), or — on a SESSION request — a multiplexed session
 // pipelining many such exchanges over the one connection.
+//
 //myproxy:hotpath
 func (s *Server) serveSession(conn *gsi.Conn) error {
 	reqData, err := conn.ReadMessage()
@@ -39,6 +40,7 @@ func (s *Server) serveSession(conn *gsi.Conn) error {
 // whole connection or one stream of a multiplexed session; the handlers
 // cannot tell the difference beyond the session's unseal cache (nil for a
 // single-exchange connection).
+//
 //myproxy:hotpath
 func (s *Server) dispatch(conn gsi.Channel, req *protocol.Request, sc *unsealCache) error {
 	peer := conn.PeerIdentity()
@@ -124,6 +126,7 @@ func unsealKey(e *credstore.Entry, passphrase []byte) [sha256.Size]byte {
 
 // lookup returns the cached unsealed credential, or nil. Nil-receiver
 // safe: a single-exchange connection has no cache.
+//
 //myproxy:hotpath
 func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *pki.Credential {
 	if c == nil {
@@ -141,6 +144,7 @@ func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *pki.Credent
 // add caches cred unless another stream raced it in first; it reports
 // whether cred is now owned by the cache (and must not be dropped by the
 // caller). Nil-receiver safe.
+//
 //myproxy:hotpath
 func (c *unsealCache) add(e *credstore.Entry, passphrase []byte, cred *pki.Credential) bool {
 	if c == nil {
@@ -177,6 +181,7 @@ func (c *unsealCache) wipe() {
 // revocation on every hit and is invalidated by SetRevoked) before each
 // stream is served, so a CRL reload refuses a revoked peer on the very
 // next operation of an already-open session.
+//
 //myproxy:hotpath
 func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 	if s.cfg.DisableSessions {
@@ -229,6 +234,7 @@ func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 }
 
 // serveStream runs one protocol exchange on one session stream.
+//
 //myproxy:hotpath
 func (s *Server) serveStream(st *gsi.Stream, sc *unsealCache) {
 	s.stats.Streams.Add(1)

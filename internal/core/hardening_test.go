@@ -66,7 +66,7 @@ func TestServerSurvivesTLSWithoutClientCert(t *testing.T) {
 func TestServerRejectsGarbageAfterHandshake(t *testing.T) {
 	srv, addr := startServer(t, nil)
 	alice := testpki.User(t, "core-alice")
-	conn, err := gsi.Dial(context.Background(), "tcp", addr, alice, gsi.AuthOptions{
+	conn, err := gsi.Dial(context.Background(), nil, addr, alice, gsi.AuthOptions{
 		Roots: testRoots(t), HandshakeTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -87,6 +87,13 @@ func TestServerRejectsGarbageAfterHandshake(t *testing.T) {
 	if resp.Code != protocol.RespError {
 		t.Errorf("code = %d", resp.Code)
 	}
+	// The server counts the error after writing the reply and closes the
+	// connection after counting it, so EOF orders the check after the
+	// increment.
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.ReadMessage(); err == nil {
+		t.Fatal("server kept the connection open after a malformed request")
+	}
 	if srv.Stats().Errors.Load() == 0 {
 		t.Error("malformed request not counted")
 	}
@@ -95,7 +102,7 @@ func TestServerRejectsGarbageAfterHandshake(t *testing.T) {
 func TestServerRejectsOversizedFrame(t *testing.T) {
 	_, addr := startServer(t, nil)
 	alice := testpki.User(t, "core-alice")
-	conn, err := gsi.Dial(context.Background(), "tcp", addr, alice, gsi.AuthOptions{
+	conn, err := gsi.Dial(context.Background(), nil, addr, alice, gsi.AuthOptions{
 		Roots: testRoots(t), HandshakeTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -120,7 +127,7 @@ func TestServerHalfOpenConnectionTimesOut(t *testing.T) {
 		cfg.RequestTimeout = 300 * time.Millisecond
 	})
 	alice := testpki.User(t, "core-alice")
-	conn, err := gsi.Dial(context.Background(), "tcp", addr, alice, gsi.AuthOptions{
+	conn, err := gsi.Dial(context.Background(), nil, addr, alice, gsi.AuthOptions{
 		Roots: testRoots(t), HandshakeTimeout: 5 * time.Second,
 	})
 	if err != nil {

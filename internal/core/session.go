@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/gsi"
-	"repro/internal/otp"
 	"repro/internal/pki"
 	"repro/internal/protocol"
 )
@@ -53,15 +52,11 @@ func (c *Client) NewSession(ctx context.Context) (*Session, error) {
 		}
 		return nil, err
 	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	// Streams inherit the per-message budget; the connection-wide absolute
 	// deadline connect() armed for a single exchange would cut the session
-	// short, so it is lifted — the context (via connect's watchdog) and the
-	// server's session cap bound the lifetime instead.
-	conn.SetMessageTimeout(timeout)
+	// short, so it is lifted — the context (via connect's context watch)
+	// and the server's session cap bound the lifetime instead.
+	conn.SetMessageTimeout(c.timeout())
 	mux := gsi.NewClientSession(conn.Conn)
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		_ = conn.Close() // already failing; close is best-effort
@@ -87,56 +82,12 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// Get retrieves a delegated proxy credential over the session (one stream;
-// paper Fig. 2 without the handshake). Concurrent Gets pipeline on the one
-// connection. On a degraded session this is exactly Client.Get.
+// Get retrieves a delegated proxy credential over the session: Client.Get
+// with each attempt on its own stream (paper Fig. 2 without the handshake),
+// under the same retry policy and bounded by ctx. Concurrent Gets pipeline
+// on the one connection. On a degraded session this is exactly Client.Get.
 func (s *Session) Get(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
-	if s.mux == nil {
-		return s.c.Get(ctx, opts)
-	}
-	cred, err := s.getOnce(opts)
-	if err == nil {
-		return cred, nil
-	}
-	var otpErr *ErrOTPRequired
-	if errors.As(err, &otpErr) && opts.OTPSecret != "" && opts.OTP == "" {
-		resp, rerr := otp.Respond(otpErr.Challenge, opts.OTPSecret)
-		if rerr != nil {
-			return nil, rerr
-		}
-		opts.OTP = resp
-		return s.getOnce(opts)
-	}
-	return nil, err
-}
-
-func (s *Session) getOnce(opts GetOptions) (*pki.Credential, error) {
-	st, err := s.mux.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	req := &protocol.Request{
-		Command:    protocol.CmdGet,
-		Username:   opts.Username,
-		Passphrase: opts.Passphrase,
-		Lifetime:   opts.Lifetime,
-		CredName:   opts.CredName,
-		TaskHint:   opts.TaskHint,
-		OTP:        opts.OTP,
-		Renewal:    opts.Renewal,
-	}
-	if _, err := s.c.roundTrip(st, req, ""); err != nil {
-		return nil, err
-	}
-	cred, err := gsi.RequestDelegationFrom(st, s.c.KeySource, s.c.keySpec(), s.c.Roots)
-	if err != nil {
-		return nil, fmt.Errorf("core: receive delegation: %w", err)
-	}
-	if err := s.c.readFinal(st); err != nil {
-		return nil, err
-	}
-	return cred, nil
+	return s.c.get(ctx, s.mux, opts)
 }
 
 // GetBatch pipelines one Get per options entry concurrently over the
@@ -163,19 +114,5 @@ func (s *Session) GetBatch(ctx context.Context, opts []GetOptions) ([]*pki.Crede
 
 // Info lists stored credentials over the session (see Client.Info).
 func (s *Session) Info(ctx context.Context, username, passphrase string) ([]protocol.CredInfo, error) {
-	if s.mux == nil {
-		return s.c.Info(ctx, username, passphrase)
-	}
-	st, err := s.mux.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	resp, err := s.c.roundTrip(st, &protocol.Request{
-		Command: protocol.CmdInfo, Username: username, Passphrase: passphrase,
-	}, "")
-	if err != nil {
-		return nil, err
-	}
-	return resp.Infos, nil
+	return s.c.info(ctx, s.mux, username, passphrase)
 }

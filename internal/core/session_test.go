@@ -4,9 +4,13 @@ import (
 	"context"
 	"crypto/ed25519"
 	"crypto/x509"
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/credstore"
 	"repro/internal/pki"
 	"repro/internal/testpki"
 )
@@ -119,6 +123,68 @@ func TestSessionDowngrade(t *testing.T) {
 	}
 	if err := cred.Validate(time.Now()); err != nil {
 		t.Fatalf("degraded credential invalid: %v", err)
+	}
+}
+
+// stallingStore blocks every Get while stalled is set, until release is
+// closed, standing in for a wedged disk under the repository.
+type stallingStore struct {
+	credstore.Store
+	stalled atomic.Bool
+	release chan struct{}
+	once    sync.Once
+}
+
+func (s *stallingStore) Get(username, name string) (*credstore.Entry, error) {
+	if s.stalled.Load() {
+		<-s.release
+	}
+	return s.Store.Get(username, name)
+}
+
+func (s *stallingStore) unstall() { s.once.Do(func() { close(s.release) }) }
+
+// TestSessionGetHonoursContext pins that a session exchange is bounded by
+// the caller's context, not by the client's much longer Timeout: a Get
+// against a stalled store gives up at the context deadline, and the
+// session stays usable for the next Get.
+func TestSessionGetHonoursContext(t *testing.T) {
+	store := &stallingStore{Store: credstore.NewMemStore(), release: make(chan struct{})}
+	_, addr := startServer(t, func(cfg *ServerConfig) { cfg.Store = store })
+	t.Cleanup(store.unstall) // runs before the server drains
+	alice := testpki.User(t, "sess-ctx-alice")
+	mustPut(t, newClient(t, alice, addr), PutOptions{Lifetime: 24 * time.Hour})
+
+	portal := testpki.Host(t, "sess-ctx-portal.test")
+	sess, err := newClient(t, portal, addr).NewSession(context.Background())
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer sess.Close()
+	if !sess.Multiplexed() {
+		t.Fatal("expected a multiplexed session")
+	}
+	opts := GetOptions{Username: testUser, Passphrase: testPass, Lifetime: time.Hour}
+
+	store.stalled.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = sess.Get(ctx, opts)
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Fatalf("Get against a stalled store returned after %v; want the 200ms context deadline", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Get against a stalled store = %v, want context.DeadlineExceeded", err)
+	}
+
+	store.unstall()
+	cred, err := sess.Get(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("Get after the stall cleared: %v", err)
+	}
+	if err := cred.Validate(time.Now()); err != nil {
+		t.Fatalf("credential after the stall invalid: %v", err)
 	}
 }
 

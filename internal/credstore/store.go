@@ -235,6 +235,7 @@ func SealDelegated(e *Entry, cred *pki.Credential, passphrase []byte, kdfIter in
 // security gain. The verifier exists for entries the server cannot
 // decrypt (opaque KindStored blobs) and for operations that must check
 // the pass phrase without unsealing (INFO, DESTROY).
+//
 //myproxy:hotpath
 func UnsealDelegated(e *Entry, passphrase []byte) (*pki.Credential, error) {
 	if e.Kind != KindDelegated {

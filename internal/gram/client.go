@@ -35,8 +35,7 @@ type Client struct {
 	conn *gsi.Conn
 }
 
-// timeout is the per-exchange I/O bound (dial, handshake, and each
-// request/reply round trip).
+// timeout bounds the dial and handshake, and then each call.
 func (c *Client) timeout() time.Duration {
 	if c.Timeout > 0 {
 		return c.Timeout
@@ -48,26 +47,16 @@ func (c *Client) connection() (*gsi.Conn, error) {
 	if c.conn != nil {
 		return c.conn, nil
 	}
-	timeout := c.timeout()
-	dial := c.DialContext
-	if dial == nil {
-		dial = (&net.Dialer{}).DialContext
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout())
 	defer cancel()
-	raw, err := dial(ctx, "tcp", c.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("gram: dial %s: %w", c.Addr, err)
-	}
-	conn, err := gsi.Client(raw, c.Credential, gsi.AuthOptions{
+	conn, err := gsi.Dial(ctx, c.DialContext, c.Addr, c.Credential, gsi.AuthOptions{
 		Roots:            c.Roots,
 		ExpectedPeer:     c.ExpectedServer,
-		HandshakeTimeout: timeout,
+		HandshakeTimeout: c.timeout(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(timeout))
 	c.conn = conn
 	return conn, nil
 }
@@ -91,39 +80,11 @@ func (c *Client) call(req *Request, delegate bool) (*Reply, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Re-arm the I/O deadline for this exchange: the deadline set at dial
-	// time is absolute, so on a long-lived client every later call would
-	// otherwise run against an already-expired (or imminently expiring)
-	// bound and fail spuriously — or, with no deadline, block forever
-	// under c.mu.
-	if err := conn.SetDeadline(time.Now().Add(c.timeout())); err != nil {
-		c.conn = nil
-		return nil, fmt.Errorf("gram: arm deadline: %w", err)
-	}
-	data, err := json.Marshal(req)
+	msg, err := c.exchange(conn, req, delegate)
 	if err != nil {
-		return nil, err
-	}
-	if err := conn.WriteMessage(data); err != nil {
-		c.conn = nil
-		return nil, err
-	}
-	if delegate {
-		lifetime := c.DelegationLifetime
-		if lifetime <= 0 {
-			lifetime = 2 * time.Hour
-		}
-		//myproxy:allow lockcheck c.mu intentionally serializes the shared conn for the whole request/reply exchange; the per-call deadline armed above bounds it
-		if _, err := gsi.Delegate(conn, c.Credential, proxy.Options{
-			Type:     c.DelegationType,
-			Lifetime: lifetime,
-		}); err != nil {
-			c.conn = nil
-			return nil, fmt.Errorf("gram: delegate to job: %w", err)
-		}
-	}
-	msg, err := conn.ReadMessage()
-	if err != nil {
+		// Close a connection that failed mid-call: left open, it keeps
+		// the server's handler waiting on it.
+		_ = conn.Close() // already failing; close is best-effort
 		c.conn = nil
 		return nil, err
 	}
@@ -135,6 +96,35 @@ func (c *Client) call(req *Request, delegate bool) (*Reply, error) {
 		return nil, fmt.Errorf("gram: %s", reply.Error)
 	}
 	return &reply, nil
+}
+
+// exchange sends req, delegates to the job when asked, and reads the raw
+// reply. Timeout bounds each call, so the deadline is armed afresh: on a
+// long-lived client the one from an earlier call has long expired.
+func (c *Client) exchange(conn *gsi.Conn, req *Request, delegate bool) ([]byte, error) {
+	if err := conn.SetDeadline(time.Now().Add(c.timeout())); err != nil {
+		return nil, fmt.Errorf("gram: arm deadline: %w", err)
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := conn.WriteMessage(data); err != nil {
+		return nil, err
+	}
+	if delegate {
+		lifetime := c.DelegationLifetime
+		if lifetime <= 0 {
+			lifetime = 2 * time.Hour
+		}
+		if _, err := gsi.Delegate(conn, c.Credential, proxy.Options{
+			Type:     c.DelegationType,
+			Lifetime: lifetime,
+		}); err != nil {
+			return nil, fmt.Errorf("gram: delegate to job: %w", err)
+		}
+	}
+	return conn.ReadMessage()
 }
 
 // Submit starts a job. With delegate true, a proxy credential is delegated

@@ -231,7 +231,12 @@ func (s *Server) handle(raw net.Conn) {
 
 	account, ok := s.cfg.Gridmap.Lookup(conn.PeerIdentity())
 	if !ok {
-		s.reply(conn, &Reply{Error: "identity not in gridmap"})
+		// Refuse in reply to the first request, not ahead of it: a refusal
+		// followed by a close races the client's request write into a
+		// broken pipe.
+		if _, err := conn.ReadMessage(); err == nil {
+			s.reply(conn, &Reply{Error: "identity not in gridmap"})
+		}
 		return
 	}
 	for {

@@ -172,23 +172,47 @@ func authenticatePeer(tc *tls.Conn, opts AuthOptions) (*proxy.Result, error) {
 	return res, nil
 }
 
-func handshakeDeadline(opts AuthOptions) time.Time {
-	d := opts.HandshakeTimeout
-	if d <= 0 {
-		d = 30 * time.Second
+// Dial opens a GSI channel to addr over TCP, authenticating with cred and
+// verifying the server per opts. dial, when non-nil, replaces net.Dialer
+// (tests, simulation rigs, fault injection); ctx bounds the dial.
+func Dial(ctx context.Context, dial func(ctx context.Context, network, addr string) (net.Conn, error), addr string, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
+	if dial == nil {
+		dial = (&net.Dialer{}).DialContext
 	}
-	return time.Now().Add(d)
-}
-
-// Dial opens a GSI channel to addr, authenticating with cred and verifying
-// the server per opts.
-func Dial(ctx context.Context, network, addr string, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
-	var d net.Dialer
-	raw, err := d.DialContext(ctx, network, addr)
+	raw, err := dial(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("gsi: dial %s: %w", addr, err)
 	}
-	conn, err := Client(raw, cred, opts)
+	return Client(raw, cred, opts)
+}
+
+// Client wraps an established net.Conn as the initiating side of a GSI
+// channel. raw is closed if the channel cannot be established.
+func Client(raw net.Conn, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
+	return establish(raw, cred, opts, tls.Client)
+}
+
+// Server wraps an accepted net.Conn as the responding side of a GSI channel,
+// requiring and verifying a client certificate chain. raw is closed if the
+// channel cannot be established.
+func Server(raw net.Conn, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
+	return establish(raw, cred, opts, tls.Server)
+}
+
+// establish runs the TLS handshake for either side and authenticates the
+// peer. Every failure path closes raw, so the caller never owns a half-built
+// channel. It closes the raw conn, not the TLS conn: writing close_notify
+// can block when a rejected peer is not reading.
+func establish(raw net.Conn, cred *pki.Credential, opts AuthOptions, side func(net.Conn, *tls.Config) *tls.Conn) (*Conn, error) {
+	cfg := opts.TLSConfig
+	var err error
+	if cfg == nil {
+		cfg, err = baseTLSConfig(cred)
+	}
+	var conn *Conn
+	if err == nil {
+		conn, err = authenticate(side(raw, cfg), cred, opts)
+	}
 	if err != nil {
 		_ = raw.Close() // already failing; close is best-effort
 		return nil, err
@@ -196,64 +220,27 @@ func Dial(ctx context.Context, network, addr string, cred *pki.Credential, opts 
 	return conn, nil
 }
 
-// Client wraps an established net.Conn as the initiating side of a GSI
-// channel.
-func Client(raw net.Conn, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
-	cfg := opts.TLSConfig
-	if cfg == nil {
-		var err error
-		cfg, err = baseTLSConfig(cred)
-		if err != nil {
-			return nil, err
-		}
+// authenticate completes the handshake within opts.HandshakeTimeout and
+// verifies the peer's chain.
+func authenticate(tc *tls.Conn, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
+	d := opts.HandshakeTimeout
+	if d <= 0 {
+		d = 30 * time.Second
 	}
-	tc := tls.Client(raw, cfg)
-	if err := completeHandshake(tc, raw, opts); err != nil {
+	if err := tc.SetDeadline(time.Now().Add(d)); err != nil {
 		return nil, err
-	}
-	peer, err := authenticatePeer(tc, opts)
-	if err != nil {
-		// Close the raw conn, not the TLS conn: writing close_notify can
-		// block when the rejected peer is not reading.
-		_ = raw.Close() // rejecting the peer; close is best-effort
-		return nil, err
-	}
-	return &Conn{tls: tc, Peer: peer, Local: cred, Resumed: tc.ConnectionState().DidResume, maxFrame: DefaultMaxFrame}, nil
-}
-
-// Server wraps an accepted net.Conn as the responding side of a GSI channel,
-// requiring and verifying a client certificate chain.
-func Server(raw net.Conn, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
-	cfg := opts.TLSConfig
-	if cfg == nil {
-		var err error
-		cfg, err = baseTLSConfig(cred)
-		if err != nil {
-			return nil, err
-		}
-	}
-	tc := tls.Server(raw, cfg)
-	if err := completeHandshake(tc, raw, opts); err != nil {
-		return nil, err
-	}
-	peer, err := authenticatePeer(tc, opts)
-	if err != nil {
-		_ = raw.Close() // rejecting the peer; close is best-effort
-		return nil, err
-	}
-	return &Conn{tls: tc, Peer: peer, Local: cred, Resumed: tc.ConnectionState().DidResume, maxFrame: DefaultMaxFrame}, nil
-}
-
-func completeHandshake(tc *tls.Conn, raw net.Conn, opts AuthOptions) error {
-	if err := tc.SetDeadline(handshakeDeadline(opts)); err != nil {
-		_ = raw.Close() // already failing; close is best-effort
-		return err
 	}
 	if err := tc.Handshake(); err != nil {
-		_ = raw.Close() // already failing; close is best-effort
-		return fmt.Errorf("gsi: handshake: %w", err)
+		return nil, fmt.Errorf("gsi: handshake: %w", err)
 	}
-	return tc.SetDeadline(time.Time{})
+	if err := tc.SetDeadline(time.Time{}); err != nil {
+		return nil, err
+	}
+	peer, err := authenticatePeer(tc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Conn{tls: tc, Peer: peer, Local: cred, Resumed: tc.ConnectionState().DidResume, maxFrame: DefaultMaxFrame}, nil
 }
 
 // SetMessageTimeout arms a per-message deadline: every subsequent
@@ -281,6 +268,7 @@ func (c *Conn) armDeadline() error {
 }
 
 // WriteMessage sends one framed message over the channel.
+//
 //myproxy:hotpath
 func (c *Conn) WriteMessage(payload []byte) error {
 	if err := c.armDeadline(); err != nil {
@@ -290,6 +278,7 @@ func (c *Conn) WriteMessage(payload []byte) error {
 }
 
 // ReadMessage receives one framed message.
+//
 //myproxy:hotpath
 func (c *Conn) ReadMessage() ([]byte, error) {
 	if err := c.armDeadline(); err != nil {

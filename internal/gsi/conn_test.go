@@ -324,7 +324,7 @@ func TestDialOverTCP(t *testing.T) {
 		}
 		done <- err
 	}()
-	conn, err := Dial(t.Context(), "tcp", ln.Addr().String(), user, defaultOpts(t))
+	conn, err := Dial(t.Context(), nil, ln.Addr().String(), user, defaultOpts(t))
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

@@ -29,6 +29,7 @@ import (
 // a CSR, receives the signed chain, and assembles the resulting proxy
 // credential. The returned credential is verified against roots before
 // being accepted. The zero spec selects RSA at pki.DefaultKeyBits.
+//
 //myproxy:hotpath
 func RequestDelegation(ch Channel, spec pki.KeySpec, roots *x509.CertPool) (*pki.Credential, error) {
 	return RequestDelegationFrom(ch, nil, spec, roots)
@@ -37,6 +38,7 @@ func RequestDelegation(ch Channel, spec pki.KeySpec, roots *x509.CertPool) (*pki
 // RequestDelegationFrom is RequestDelegation with the key pair drawn from
 // keys (typically a keypool.Pool), taking fresh-key generation off the
 // delegation hot path. A nil source generates synchronously.
+//
 //myproxy:hotpath
 func RequestDelegationFrom(ch Channel, keys proxy.KeySource, spec pki.KeySpec, roots *x509.CertPool) (*pki.Credential, error) {
 	var key crypto.Signer
@@ -91,6 +93,7 @@ func requestDelegationWithKey(ch Channel, key crypto.Signer, roots *x509.CertPoo
 // certificate. The requested key's algorithm is taken from the CSR; any
 // supported algorithm (see pki.KeyAlgorithm) is accepted regardless of the
 // issuer's own key type — proxy chains may mix algorithms.
+//
 //myproxy:hotpath
 func Delegate(ch Channel, issuer *pki.Credential, opts proxy.Options) (*x509.Certificate, error) {
 	csrDER, err := ch.ReadMessage()

@@ -33,6 +33,7 @@ const MaxFrameSize = 16 << 20
 var ErrFrameTooLarge = errors.New("gsi: frame exceeds maximum size")
 
 // WriteFrame writes one length-prefixed message.
+//
 //myproxy:hotpath
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
@@ -51,6 +52,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads one length-prefixed message of at most max bytes
 // (max <= 0 selects DefaultMaxFrame).
+//
 //myproxy:hotpath
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if max <= 0 {
@@ -85,6 +87,7 @@ const streamIDLen = 4
 
 // WriteStreamFrame writes one length-prefixed message tagged with a
 // stream identifier (id must be nonzero).
+//
 //myproxy:hotpath
 func WriteStreamFrame(w io.Writer, id uint32, payload []byte) error {
 	if id == 0 {
@@ -107,6 +110,7 @@ func WriteStreamFrame(w io.Writer, id uint32, payload []byte) error {
 
 // ReadStreamFrame reads one stream-tagged frame of at most max payload
 // bytes (max <= 0 selects DefaultMaxFrame).
+//
 //myproxy:hotpath
 func ReadStreamFrame(r io.Reader, max int) (uint32, []byte, error) {
 	if max <= 0 {

@@ -1,6 +1,7 @@
 package gsi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -123,7 +124,9 @@ func (s *Session) route(id uint32, payload []byte) error {
 	if !ok && !s.client && id > s.maxSeen {
 		// First frame of a new stream on the accepting side.
 		s.maxSeen = id
-		st = s.newStreamLocked(id)
+		st = s.newStream(context.Background())
+		st.id = id
+		s.streams[id] = st
 		ok = true
 		select {
 		case s.accept <- st:
@@ -146,31 +149,27 @@ func (s *Session) route(id uint32, payload []byte) error {
 	}
 }
 
-func (s *Session) newStreamLocked(id uint32) *Stream {
-	st := &Stream{
+func (s *Session) newStream(ctx context.Context) *Stream {
+	return &Stream{
 		s:       s,
-		id:      id,
+		ctx:     ctx,
 		inbox:   make(chan []byte, streamInboxSize),
 		timeout: s.msgTimeout,
 	}
-	s.streams[id] = st
-	return st
 }
 
 // Open starts a new stream (initiating side only). The stream exists on
-// the peer once its first message arrives there.
-func (s *Session) Open() (*Stream, error) {
+// the peer once its first message arrives there. ctx bounds every
+// ReadMessage on the stream; a reply that arrives after the caller gave up
+// and closed the stream is dropped like any frame for a released id.
+func (s *Session) Open(ctx context.Context) (*Stream, error) {
 	if !s.client {
 		return nil, errors.New("gsi: accepting side cannot open streams")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return nil, s.err
+	if err := s.Err(); err != nil {
+		return nil, err
 	}
-	id := s.nextID
-	s.nextID++
-	return s.newStreamLocked(id), nil
+	return s.newStream(ctx), nil
 }
 
 // Accept waits for the peer to open a stream (accepting side only).
@@ -186,7 +185,7 @@ func (s *Session) Accept() (*Stream, error) {
 // writeFrame sends one frame on behalf of a stream, serialized across
 // streams. The write deadline is armed per frame so one stalled peer
 // window cannot hold the write lock forever.
-func (s *Session) writeFrame(id uint32, payload []byte) error {
+func (s *Session) writeFrame(st *Stream, payload []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	select {
@@ -194,20 +193,31 @@ func (s *Session) writeFrame(id uint32, payload []byte) error {
 		return s.Err()
 	default:
 	}
+	if st.id == 0 {
+		// An initiating stream takes its id with its first frame, under
+		// wmu, so new ids reach the peer in increasing order: the acceptor
+		// drops a frame for an id at or below the highest it has seen.
+		s.mu.Lock()
+		st.id = s.nextID
+		s.nextID++
+		s.streams[st.id] = st
+		s.mu.Unlock()
+	}
 	if s.msgTimeout > 0 {
 		if err := s.conn.tls.SetWriteDeadline(time.Now().Add(s.msgTimeout)); err != nil {
 			return fmt.Errorf("gsi: arm stream write deadline: %w", err)
 		}
 	}
 	//myproxy:allow hotblock frames must serialize on wmu by design; the per-frame write deadline above bounds the hold
-	if err := WriteStreamFrame(s.conn.tls, id, payload); err != nil {
+	if err := WriteStreamFrame(s.conn.tls, st.id, payload); err != nil {
 		s.fail(err)
 		return err
 	}
 	return nil
 }
 
-// release forgets a stream; later frames for its id are dropped.
+// release forgets a stream; later frames for its id are dropped. Id 0 is
+// an initiating stream that never wrote, so the peer never saw it.
 func (s *Session) release(id uint32) {
 	s.mu.Lock()
 	delete(s.streams, id)
@@ -245,28 +255,31 @@ func (s *Session) Close() error {
 // implements Channel, so delegation and the request handlers run over it
 // unchanged. A Stream is used by one exchange at a time.
 type Stream struct {
-	s  *Session
+	s *Session
+	// id is the wire identifier. An initiating stream takes it when it
+	// writes its first frame; until then it is 0.
 	id uint32
 
 	inbox chan []byte
+	// ctx is the opener's context (Background on the accepting side).
+	ctx context.Context
 
 	// timeout bounds each ReadMessage (0 = only the session bounds it).
 	timeout time.Duration
 }
 
-// ID reports the stream's wire identifier.
-func (st *Stream) ID() uint32 { return st.id }
-
 // SetMessageTimeout adjusts the per-message read budget for this stream.
 func (st *Stream) SetMessageTimeout(d time.Duration) { st.timeout = d }
 
 // WriteMessage sends one framed message on this stream.
+//
 //myproxy:hotpath
 func (st *Stream) WriteMessage(payload []byte) error {
-	return st.s.writeFrame(st.id, payload)
+	return st.s.writeFrame(st, payload)
 }
 
 // ReadMessage receives the next message routed to this stream.
+//
 //myproxy:hotpath
 func (st *Stream) ReadMessage() ([]byte, error) {
 	var timeout <-chan time.Time
@@ -280,6 +293,8 @@ func (st *Stream) ReadMessage() ([]byte, error) {
 		return payload, nil
 	case <-st.s.done:
 		return nil, st.s.Err()
+	case <-st.ctx.Done():
+		return nil, fmt.Errorf("gsi: stream %d: %w", st.id, st.ctx.Err())
 	case <-timeout:
 		return nil, fmt.Errorf("gsi: stream %d read timeout after %v", st.id, st.timeout)
 	}

@@ -174,6 +174,7 @@ func checkNames(w http.ResponseWriter, username, credName string) bool {
 // GetRequest is the body of POST /v1/get: HTTP-shaped Figure 2. The CSR
 // carries the public key the client wants certified; the response carries
 // the signed proxy chain, so the whole delegation is one round trip.
+//
 //myproxy:untrusted
 type GetRequest struct {
 	Username        string `json:"username"`
@@ -337,6 +338,7 @@ func durString(d time.Duration) string {
 }
 
 // StoreRequest deposits a client-sealed blob (§6.1 over HTTP).
+//
 //myproxy:untrusted
 type StoreRequest struct {
 	Username    string   `json:"username"`
@@ -394,6 +396,7 @@ func (g *Gateway) handleStore(w http.ResponseWriter, r *http.Request, peer *prox
 }
 
 // RetrieveRequest fetches a stored blob.
+//
 //myproxy:untrusted
 type RetrieveRequest struct {
 	Username   string `json:"username"`
@@ -439,6 +442,7 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, peer *p
 }
 
 // DestroyRequest removes a credential.
+//
 //myproxy:untrusted
 type DestroyRequest struct {
 	Username   string `json:"username"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/faultnet"
 	"repro/internal/testpki"
@@ -71,6 +72,25 @@ func TestClientRecoversAfterMidSessionReset(t *testing.T) {
 		t.Fatalf("Get after reconnect: %v", err)
 	}
 	if !bytes.Equal(got, []byte("stable")) {
+		t.Errorf("Get = %q", got)
+	}
+}
+
+// Timeout bounds each call, not the client's lifetime: a call made after
+// Timeout has passed since the dial still succeeds on the same connection.
+func TestLongLivedClientRearmsDeadline(t *testing.T) {
+	_, addr := startMSS(t, defaultGridmap(t))
+	c := newMSSClient(t, testpki.User(t, "mss-alice"), addr)
+	c.Timeout = 300 * time.Millisecond
+	if err := c.Put("a.dat", []byte("payload")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	time.Sleep(400 * time.Millisecond)
+	got, err := c.Get("a.dat")
+	if err != nil {
+		t.Fatalf("Get %v after the dial: %v", 400*time.Millisecond, err)
+	}
+	if !bytes.Equal(got, []byte("payload")) {
 		t.Errorf("Get = %q", got)
 	}
 }

@@ -149,7 +149,12 @@ func (s *Server) handle(raw net.Conn) {
 
 	account, ok := s.cfg.Gridmap.Lookup(conn.PeerIdentity())
 	if !ok {
-		writeReply(conn, &Reply{Error: "identity not in gridmap"})
+		// Refuse in reply to the first request, not ahead of it: a refusal
+		// followed by a close races the client's request write into a
+		// broken pipe.
+		if _, err := conn.ReadMessage(); err == nil {
+			writeReply(conn, &Reply{Error: "identity not in gridmap"})
+		}
 		return
 	}
 	// One session may carry several operations.
@@ -252,33 +257,28 @@ type Client struct {
 	conn *gsi.Conn
 }
 
+// timeout bounds the dial and handshake, and then each call.
+func (c *Client) timeout() time.Duration {
+	if c.Timeout > 0 {
+		return c.Timeout
+	}
+	return 30 * time.Second
+}
+
 func (c *Client) connection() (*gsi.Conn, error) {
 	if c.conn != nil {
 		return c.conn, nil
 	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	dial := c.DialContext
-	if dial == nil {
-		dial = (&net.Dialer{}).DialContext
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout())
 	defer cancel()
-	raw, err := dial(ctx, "tcp", c.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("mss: dial %s: %w", c.Addr, err)
-	}
-	conn, err := gsi.Client(raw, c.Credential, gsi.AuthOptions{
+	conn, err := gsi.Dial(ctx, c.DialContext, c.Addr, c.Credential, gsi.AuthOptions{
 		Roots:            c.Roots,
 		ExpectedPeer:     c.ExpectedServer,
-		HandshakeTimeout: timeout,
+		HandshakeTimeout: c.timeout(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(timeout))
 	c.conn = conn
 	return conn, nil
 }
@@ -302,16 +302,11 @@ func (c *Client) call(req *Request) (*Reply, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(req)
+	msg, err := c.exchange(conn, req)
 	if err != nil {
-		return nil, err
-	}
-	if err := conn.WriteMessage(data); err != nil {
-		c.conn = nil
-		return nil, err
-	}
-	msg, err := conn.ReadMessage()
-	if err != nil {
+		// Close a connection that failed mid-call: left open, it keeps
+		// the server's handler waiting on it.
+		_ = conn.Close() // already failing; close is best-effort
 		c.conn = nil
 		return nil, err
 	}
@@ -323,6 +318,23 @@ func (c *Client) call(req *Request) (*Reply, error) {
 		return nil, fmt.Errorf("mss: %s", reply.Error)
 	}
 	return &reply, nil
+}
+
+// exchange sends req and reads the raw reply. Timeout bounds each call, so
+// the deadline is armed afresh: on a long-lived client the one from an
+// earlier call has long expired.
+func (c *Client) exchange(conn *gsi.Conn, req *Request) ([]byte, error) {
+	if err := conn.SetDeadline(time.Now().Add(c.timeout())); err != nil {
+		return nil, fmt.Errorf("mss: arm deadline: %w", err)
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := conn.WriteMessage(data); err != nil {
+		return nil, err
+	}
+	return conn.ReadMessage()
 }
 
 // Put stores an object under the caller's account.

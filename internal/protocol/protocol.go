@@ -83,8 +83,9 @@ func (c Command) Valid() bool {
 
 // Every field of a Request is raw wire input until validated: the taint
 // passes treat Request values as ambient-tainted by type.
-//myproxy:untrusted
 // Request is a parsed client request.
+//
+//myproxy:untrusted
 type Request struct {
 	Command    Command
 	Username   string

@@ -78,6 +78,7 @@ func fingerprint(chain []*x509.Certificate, maxDepth int) [sha256.Size]byte {
 
 // Verify is a caching front end to Verify: identical contract, identical
 // errors on the miss path. A nil *VerifyCache degrades to plain Verify.
+//
 //myproxy:hotpath
 func (vc *VerifyCache) Verify(chain []*x509.Certificate, opts VerifyOptions) (*Result, error) {
 	if vc == nil || len(chain) == 0 || opts.Roots == nil {

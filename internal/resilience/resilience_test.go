@@ -14,7 +14,7 @@ func fastPolicy(attempts int, slept *[]time.Duration) Policy {
 		MaxAttempts: attempts,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    80 * time.Millisecond,
-		Jitter:      1, // fully randomized...
+		Jitter:      1,                           // fully randomized...
 		Rand:        func() float64 { return 1 }, // ...but pinned for determinism
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			if slept != nil {

@@ -1,9 +1,17 @@
 #!/bin/sh
-# check.sh — the repo's verification gate: vet, build, and race-test
-# everything. Run from the repository root (or via `make check`).
+# check.sh — the repo's verification gate: gofmt, vet, lint, build,
+# the perfbench self-test, and race-test everything. Run from the repository root (or via `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l (testdata/ excluded: the analyzer golden files pin line numbers)"
+unformatted=$(gofmt -l *.go cmd examples internal perfbench | grep -v '/testdata/' || true)
+if [ -n "$unformatted" ]; then
+    echo "error: files need gofmt:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -19,6 +27,9 @@ fi
 
 echo "== go build ./..."
 go build ./...
+
+echo "== perfbench: vet and self-test (its own module, outside ./...)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race ./internal/keypool ./internal/gsi ./internal/core (hot-path concurrency)"
 go test -race -count=1 ./internal/keypool ./internal/gsi ./internal/core
