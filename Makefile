@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet vet-self vet-stats lint perfbench-test test race race-hotpath race-failover fuzz-smoke check bench bench-compare clean
+.PHONY: all build fmt-check vet vet-self vet-stats lint perfbench-test test race race-hotpath race-failover kdf-allocs fuzz-smoke check bench bench-compare clean
 
 all: build
 
@@ -71,17 +71,26 @@ race-failover:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestClusterFailover|TestClusterPartition' ./internal/sim
 
+# kdf-allocs pins the KDF loop's allocation count as independent of the
+# iteration count. It is built without -race (the race detector makes
+# sha256's AppendBinary allocate), so the race tiers never run it.
+kdf-allocs:
+	$(GO) test -count=1 -run TestSHA256KeyAllocsIndependentOfIter ./internal/kdf
+
 # fuzz-smoke runs each native fuzz target for a few seconds: the wire
 # parsers (protocol requests/responses) and the GSI frame decoders, seeded
-# from the golden exchanges. A short time box keeps `make check` fast;
-# longer campaigns are a manual `go test -fuzz=... -fuzztime=10m`.
+# from the golden exchanges, and the unseal path (sealed key container,
+# key DER, certificate PEM), seeded from real low-iteration seals. A short
+# time box keeps `make check` fast; longer campaigns are a manual
+# `go test -fuzz=... -fuzztime=10m`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=5s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=5s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/gsi
 	$(GO) test -run='^$$' -fuzz=FuzzReadStreamFrame -fuzztime=5s ./internal/gsi
+	$(GO) test -run='^$$' -fuzz=FuzzUnsealDelegated -fuzztime=5s ./internal/credstore
 
-check: fmt-check vet lint build perfbench-test race-hotpath race-failover fuzz-smoke race
+check: fmt-check vet lint build perfbench-test race-hotpath race-failover kdf-allocs fuzz-smoke race
 
 # Short benchmark smoke pass (full runs are driven by cmd/experiments).
 bench:

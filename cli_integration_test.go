@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pki"
 )
 
 // TestCLIEndToEnd exercises the command-line tools as a user would
@@ -127,6 +129,24 @@ func TestCLIEndToEnd(t *testing.T) {
 	cmd.Stdin = strings.NewReader("cli pass phrase\n")
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("retrieval after destroy succeeded: %s", out)
+	}
+}
+
+// TestCLIRefusesExcessiveKDFIter checks that the sealing servers refuse,
+// at start-up, an iteration count whose containers pki.OpenBytes would
+// refuse to open.
+func TestCLIRefusesExcessiveKDFIter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI suite")
+	}
+	bin := builtBinaries(t)
+	for _, name := range []string{"myproxy-server", "myproxy-http-gateway"} {
+		cmd := exec.Command(filepath.Join(bin, name), "-kdf-iter", fmt.Sprint(pki.MaxKDFIterations+1))
+		cmd.Dir = t.TempDir()
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-kdf-iter") {
+			t.Errorf("%s -kdf-iter %d: err %v, output %q", name, pki.MaxKDFIterations+1, err, out)
+		}
 	}
 }
 

@@ -33,6 +33,9 @@ func main() {
 	keyAlg := flag.String("key-alg", "rsa-2048", "key algorithm for server-generated keys (rsa-2048, ecdsa-p256, ed25519)")
 	flag.Parse()
 
+	if *kdfIter > pki.MaxKDFIterations {
+		cliutil.Fatalf("myproxy-http-gateway: -kdf-iter %d exceeds the maximum of %d; keys sealed with it could not be opened", *kdfIter, pki.MaxKDFIterations)
+	}
 	alg, err := pki.ParseKeyAlgorithm(*keyAlg)
 	if err != nil {
 		cliutil.Fatalf("myproxy-http-gateway: %v", err)

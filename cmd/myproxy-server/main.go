@@ -49,6 +49,9 @@ func main() {
 	noSessions := flag.Bool("no-sessions", false, "refuse multiplexed SESSION requests (legacy one-exchange mode)")
 	flag.Parse()
 
+	if *kdfIter > pki.MaxKDFIterations {
+		cliutil.Fatalf("myproxy-server: -kdf-iter %d exceeds the maximum of %d; keys sealed with it could not be opened", *kdfIter, pki.MaxKDFIterations)
+	}
 	alg, err := pki.ParseKeyAlgorithm(*keyAlg)
 	if err != nil {
 		cliutil.Fatalf("myproxy-server: %v", err)

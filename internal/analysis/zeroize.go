@@ -15,7 +15,7 @@ import (
 // A buffer becomes tracked when it is assigned from a call whose summary
 // says the result carries secret bytes: the x509 private-key marshalers, or
 // any repository function whose doc comment carries a //myproxy:secret
-// marker (kdf.Key, pki.OpenBytes, ...). Error-branch refinement drops the
+// marker (kdf.SHA256Key, pki.OpenBytes, ...). Error-branch refinement drops the
 // obligation where the producing call failed. Wiping — pki.WipeBytes or any
 // function the summary layer recognizes as zeroing its parameter, an inline
 // `for i := range b { b[i] = 0 }`, or clear(b) — discharges, as does

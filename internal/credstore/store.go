@@ -181,10 +181,15 @@ func (e *Entry) SetPassphrase(passphrase []byte) error {
 }
 
 // CheckPassphrase verifies a pass phrase against the entry's verifier in
-// constant time.
+// constant time. The iteration count comes from the stored entry, so it is
+// bounded like a sealed container's (pki.MaxKDFIterations) before the KDF
+// runs.
 func (e *Entry) CheckPassphrase(passphrase []byte) error {
 	if len(e.Verifier) == 0 || len(e.VerifierSalt) == 0 || e.VerifierIter <= 0 {
 		return errors.New("credstore: entry has no pass phrase verifier")
+	}
+	if e.VerifierIter > pki.MaxKDFIterations {
+		return fmt.Errorf("credstore: verifier demands %d KDF iterations, more than the maximum of %d", e.VerifierIter, pki.MaxKDFIterations)
 	}
 	got := kdf.SHA256Key(passphrase, e.VerifierSalt, e.VerifierIter, 32)
 	ok := hmac.Equal(got, e.Verifier)

@@ -184,6 +184,28 @@ func TestPassphraseVerifier(t *testing.T) {
 	}
 }
 
+// VerifierIter is read from the stored entry, like a sealed container's
+// header: a crafted count must be refused before the KDF runs.
+func TestCheckPassphraseRefusesExcessiveIterations(t *testing.T) {
+	e := &Entry{}
+	if err := e.SetPassphrase([]byte("open sesame")); err != nil {
+		t.Fatal(err)
+	}
+	for _, iter := range []int{1 << 40, pki.MaxKDFIterations + 1} {
+		e.VerifierIter = iter
+		done := make(chan error, 1)
+		go func() { done <- e.CheckPassphrase([]byte("open sesame")) }()
+		select {
+		case err := <-done:
+			if err == nil || errors.Is(err, ErrBadPassphrase) {
+				t.Errorf("iter=%d: CheckPassphrase ran the KDF (err %v)", iter, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iter=%d: CheckPassphrase still deriving after 5s", iter)
+		}
+	}
+}
+
 func TestSealUnsealDelegated(t *testing.T) {
 	user := testpki.User(t, "store-alice")
 	p, err := proxy.New(user, proxy.Options{Type: proxy.RFC3820, Lifetime: time.Hour, KeyBits: 1024})

@@ -2,6 +2,7 @@ package kdf
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -103,7 +104,7 @@ func TestKeyPanicsOnBadIter(t *testing.T) {
 			t.Fatal("expected panic for iter=0")
 		}
 	}()
-	Key([]byte("pw"), []byte("s"), 0, 16, sha256.New)
+	SHA256Key([]byte("pw"), []byte("s"), 0, 16)
 }
 
 func TestKeyPanicsOnNegativeLen(t *testing.T) {
@@ -112,7 +113,25 @@ func TestKeyPanicsOnNegativeLen(t *testing.T) {
 			t.Fatal("expected panic for keyLen<0")
 		}
 	}()
-	Key([]byte("pw"), []byte("s"), 1, -1, sha256.New)
+	SHA256Key([]byte("pw"), []byte("s"), 1, -1)
+}
+
+// A state layout other than the one the loop reads must stop the
+// derivation rather than yield a wrong key.
+func TestLayoutMismatchFailsClosed(t *testing.T) {
+	for _, s := range []hashSpec{
+		{"sha256", sha256.New, "sha\x01", sha256.Size}, // wrong magic
+		{"sha256", sha256.New, "sha\x03", sha1.Size},   // wrong size
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+q/%d: derived a key from a mismatched layout", s.magic, s.size)
+				}
+			}()
+			key(s, []byte("pw"), []byte("salt"), 2, 32)
+		}()
+	}
 }
 
 // Property: a prefix of a longer derived key equals the shorter derived key
@@ -154,5 +173,17 @@ func BenchmarkSHA256Key64k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		SHA256Key(pw, salt, 65536, 32)
+	}
+}
+
+// BenchmarkSHA256Floor hashes the 131072 blocks (2 per iteration) that
+// BenchmarkSHA256Key64k compresses, back to back: the floor no PBKDF2
+// loop over crypto/sha256 can beat.
+func BenchmarkSHA256Floor(b *testing.B) {
+	blocks := make([]byte, 2*65536*64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sha256.Sum256(blocks)
 	}
 }

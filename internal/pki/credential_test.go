@@ -3,6 +3,7 @@ package pki
 import (
 	"bytes"
 	"crypto/x509"
+	"encoding/binary"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -165,6 +166,37 @@ func TestSealOpenBytes(t *testing.T) {
 	}
 	if _, err := OpenBytes([]byte("short"), pass); err == nil {
 		t.Fatal("truncated container accepted")
+	}
+}
+
+// The iteration count comes from the container, which may be an on-disk
+// entry or a blob a repository returns: a crafted header must be refused
+// before the KDF runs, not after it has burned its CPU.
+func TestOpenBytesRefusesExcessiveIterations(t *testing.T) {
+	pass := []byte("pass")
+	sealed, err := SealBytes([]byte("data"), pass, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, iter := range []uint32{1 << 28, MaxKDFIterations + 1} {
+		c := bytes.Clone(sealed)
+		binary.BigEndian.PutUint32(c[len(sealMagic):], iter)
+		done := make(chan error, 1)
+		go func() {
+			_, err := OpenBytes(c, pass)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || errors.Is(err, ErrBadPassphrase) {
+				t.Errorf("iter=%d: OpenBytes ran the KDF (err %v)", iter, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iter=%d: OpenBytes still deriving after 5s", iter)
+		}
+	}
+	if _, err := SealBytes([]byte("data"), pass, MaxKDFIterations+1); err == nil {
+		t.Error("SealBytes sealed a container OpenBytes refuses")
 	}
 }
 

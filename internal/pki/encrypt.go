@@ -5,7 +5,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/pem"
 	"errors"
@@ -38,6 +37,13 @@ const (
 	// DefaultKDFIterations balances unseal latency against brute-force
 	// resistance; experiment E5 sweeps this parameter.
 	DefaultKDFIterations = 65536
+
+	// MaxKDFIterations (64x the default) bounds the KDF work a container
+	// header can demand. The count is read from the container itself —
+	// an on-disk entry, or a blob a repository returns to RETRIEVE — so
+	// without a bound one crafted header buys seconds of CPU per attempt.
+	// SealBytes enforces the same bound, so every sealed container opens.
+	MaxKDFIterations = 1 << 22
 )
 
 // ErrBadPassphrase is returned when a sealed key cannot be opened with the
@@ -50,11 +56,14 @@ func SealBytes(plaintext, passphrase []byte, iter int) ([]byte, error) {
 	if iter <= 0 {
 		iter = DefaultKDFIterations
 	}
+	if iter > MaxKDFIterations {
+		return nil, fmt.Errorf("pki: %d KDF iterations exceeds the maximum of %d", iter, MaxKDFIterations)
+	}
 	salt := make([]byte, sealSaltLen)
 	if _, err := io.ReadFull(rand.Reader, salt); err != nil {
 		return nil, fmt.Errorf("pki: salt: %w", err)
 	}
-	key := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)
+	key := kdf.SHA256Key(passphrase, salt, iter, sealKeyLen)
 	defer WipeBytes(key) // the cipher keeps its own schedule; drop ours
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -89,13 +98,13 @@ func OpenBytes(container, passphrase []byte) ([]byte, error) {
 	}
 	p := len(sealMagic)
 	iter := int(binary.BigEndian.Uint32(container[p : p+4]))
-	if iter <= 0 || iter > 1<<28 {
+	if iter <= 0 || iter > MaxKDFIterations {
 		return nil, errors.New("pki: implausible KDF iteration count")
 	}
 	p += 4
 	salt := container[p : p+sealSaltLen]
 	p += sealSaltLen
-	key := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)
+	key := kdf.SHA256Key(passphrase, salt, iter, sealKeyLen)
 	defer WipeBytes(key) // the cipher keeps its own schedule; drop ours
 	block, err := aes.NewCipher(key)
 	if err != nil {

@@ -38,11 +38,15 @@ echo "== go test -race cluster failover smoke (kill-one-replica drill, DESIGN.md
 go test -race -count=1 ./internal/cluster
 go test -race -count=1 -run 'TestClusterFailover|TestClusterPartition' ./internal/sim
 
-echo "== fuzz smoke (wire parsers + frame decoders, time-boxed)"
+echo "== KDF allocation pin (not under -race, which makes sha256's AppendBinary allocate)"
+go test -count=1 -run TestSHA256KeyAllocsIndependentOfIter ./internal/kdf
+
+echo "== fuzz smoke (wire parsers + frame decoders + unseal path, time-boxed)"
 go test -run='^$' -fuzz=FuzzParseRequest -fuzztime=5s ./internal/protocol
 go test -run='^$' -fuzz=FuzzParseResponse -fuzztime=5s ./internal/protocol
 go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/gsi
 go test -run='^$' -fuzz=FuzzReadStreamFrame -fuzztime=5s ./internal/gsi
+go test -run='^$' -fuzz=FuzzUnsealDelegated -fuzztime=5s ./internal/credstore
 
 echo "== go test -race ./..."
 go test -race ./...
