@@ -228,27 +228,17 @@ func baselineKey(d analysis.Diagnostic) string {
 	return fmt.Sprintf("%s: %s: %s", filepath.ToSlash(d.File), d.Pass, d.Message)
 }
 
-// saveBaseline writes the findings' keys, sorted and deduplicated, with a
-// small header documenting the format.
+// saveBaseline writes the findings' keys, sorted and deduplicated.
 func saveBaseline(path string, ds []analysis.Diagnostic) error {
 	seen := make(map[string]bool)
 	var keys []string
 	for _, d := range ds {
-		k := baselineKey(d)
-		if !seen[k] {
+		if k := baselineKey(d); !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("# myproxy-vet baseline: known findings tolerated by -baseline.\n")
-	b.WriteString("# One \"file: pass: message\" key per line; '#' starts a comment.\n")
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
+	return writeKeyFile(path, keys)
 }
 
 // pruneBaseline rewrites the baseline without entries that no longer fire:
@@ -271,18 +261,21 @@ func pruneBaseline(path string, known, matched, analyzed map[string]bool) ([]str
 		return nil, nil
 	}
 	sort.Strings(pruned)
-	sort.Strings(remaining)
+	return pruned, writeKeyFile(path, remaining)
+}
+
+// writeKeyFile writes a baseline-format key file — the -baseline debt file
+// or the -budget cost file — sorted, under a header documenting the format.
+func writeKeyFile(path string, keys []string) error {
+	sort.Strings(keys)
 	var b strings.Builder
-	b.WriteString("# myproxy-vet baseline: known findings tolerated by -baseline.\n")
+	b.WriteString("# myproxy-vet key file: known findings tolerated by the -baseline or -budget flag that names it.\n")
 	b.WriteString("# One \"file: pass: message\" key per line; '#' starts a comment.\n")
-	for _, k := range remaining {
+	for _, k := range keys {
 		b.WriteString(k)
 		b.WriteByte('\n')
 	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return nil, err
-	}
-	return pruned, nil
+	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
 // loadBaseline reads a baseline file into a key set.

@@ -86,3 +86,43 @@ func TestBudgetFileAbsorbs(t *testing.T) {
 		t.Fatalf("surviving findings = %+v, want only the new site", rep.Findings)
 	}
 }
+
+// TestPruneRewritesKeyFile pins the shared key-file writer: pruning a
+// budget file drops exactly the stale entry of an analyzed file, keeps
+// entries of files outside the run, and writes the same format
+// saveBaseline does.
+func TestPruneRewritesKeyFile(t *testing.T) {
+	dir := t.TempDir()
+	budget := filepath.Join(dir, "budget.txt")
+	keys := "a/b.go: hotalloc: still fires\na/b.go: hotalloc: fixed\nc/d.go: hotalloc: not in this run\n"
+	if err := os.WriteFile(budget, []byte(keys), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep := &analysis.Report{Findings: []analysis.Diagnostic{
+		{File: "a/b.go", Pass: "hotalloc", Message: "still fires"},
+	}}
+	if _, err := applyBaseline(budget, rep, map[string]bool{"a/b.go": true}); err != nil {
+		t.Fatalf("applyBaseline: %v", err)
+	}
+	pruned, err := os.ReadFile(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(dir, "saved.txt")
+	if err := saveBaseline(saved, []analysis.Diagnostic{
+		{File: "c/d.go", Pass: "hotalloc", Message: "not in this run"},
+		{File: "a/b.go", Pass: "hotalloc", Message: "still fires"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(pruned) != string(want) {
+		t.Fatalf("pruned file:\n%s\nwant (as saveBaseline writes it):\n%s", pruned, want)
+	}
+	if strings.Contains(string(pruned), "fixed") || !strings.HasPrefix(string(pruned), "#") {
+		t.Fatalf("pruned file keeps the stale entry or lost its header:\n%s", pruned)
+	}
+}

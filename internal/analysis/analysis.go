@@ -112,6 +112,9 @@ type Context struct {
 	// their values are treated as raw wire input by the taint passes (the
 	// //myproxy:untrusted marker plus the seeded net/http frontier).
 	UntrustedTypes map[string]string
+	// markers holds the marker scan's function tables (pragma.go): the
+	// //myproxy:secret, hotpath, untrusted and sanitizes functions.
+	markers *markers
 	// taintMu/taintFacts memoize the taint-lattice findings per function
 	// body: the four taint passes share one flow computation and filter by
 	// sink kind (see taint.go).

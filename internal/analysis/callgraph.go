@@ -21,7 +21,7 @@ import (
 //   - Direct calls (package functions, methods with a concrete receiver)
 //     resolve through the type checker.
 //   - Function literals are nodes of their own, keyed "<enclosing>$<n>" in
-//     preorder (matching funcBodies' display names). The enclosing function
+//     preorder (the keys funcBodies hands the passes). The enclosing function
 //     gets an edge to each literal it creates: whether the literal runs
 //     inline, deferred, or on a goroutine, its behavior is reachable from
 //     (and attributable to) the creator, and a recursive closure ends up
@@ -89,9 +89,9 @@ func buildCallGraph(decls []declSite) *CallGraph {
 // addCallEdges walks one declaration body and records, for the declaration
 // and each function literal within it, the callees: direct calls, function
 // and method values taken, and the literals created. Literals are numbered
-// in preorder across the whole declaration ("pkg.Fn$1", "pkg.Fn$2", ...),
-// matching funcBodies, and attributed to whichever function (declaration or
-// enclosing literal) creates them.
+// in preorder across the whole declaration ("pkg.Fn$1", "pkg.Fn$2", ...;
+// the keys funcBodies yields) and attributed to whichever function
+// (declaration or enclosing literal) creates them.
 func addCallEdges(g *CallGraph, pkg *Package, declKey string, body *ast.BlockStmt) {
 	litIdx := 0
 	var walk func(owner *CGNode, root ast.Node)

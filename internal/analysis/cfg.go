@@ -483,27 +483,57 @@ func mayEscape(s ast.Stmt) bool {
 	return escape
 }
 
+// funcBody is one function body of a package: a declaration or a function
+// literal inside one.
+type funcBody struct {
+	// key is the call graph's qualified name (callgraph.go):
+	// "path/pkg.F", "(path/pkg.T).M", and "<decl>$<n>" for the n-th literal
+	// of a declaration in preorder. Empty when the declaration has none.
+	key string
+	// name is the display name used in messages: "F", "T.M", "T.M$1".
+	name string
+	// fn is the *ast.FuncDecl or *ast.FuncLit owning body.
+	fn   ast.Node
+	body *ast.BlockStmt
+	// deferred marks a literal that is immediately deferred
+	// (`defer func() { ... }()`): it runs at return time under whatever
+	// locks the enclosing function still holds.
+	deferred bool
+}
+
 // funcBodies yields every function body in the package — declarations and
-// function literals — each with a display name. Literals are analyzed as
-// independent functions: variables they capture are treated like parameters
-// (owned elsewhere), which keeps the analysis intraprocedural.
-func funcBodies(pkg *Package, visit func(name string, body *ast.BlockStmt)) {
+// the function literals inside them, in preorder. Literals are analyzed as
+// independent functions: variables they capture are treated like
+// parameters (owned elsewhere), which keeps the analysis intraprocedural.
+func funcBodies(pkg *Package, visit func(fb funcBody)) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			name := fd.Name.Name
+			name, key := fd.Name.Name, ""
 			if fd.Recv != nil && len(fd.Recv.List) > 0 {
 				name = recvString(fd.Recv.List[0].Type) + "." + name
 			}
-			visit(name, fd.Body)
+			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				key = funcKey(fn)
+			}
+			visit(funcBody{key: key, name: name, fn: fd, body: fd.Body})
+			deferred := make(map[ast.Node]bool)
 			litIdx := 0
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
+				switch n := n.(type) {
+				case *ast.DeferStmt:
+					deferred[ast.Unparen(n.Call.Fun)] = true
+				case *ast.FuncLit:
 					litIdx++
-					visit(fmt.Sprintf("%s$%d", name, litIdx), fl.Body)
+					suffix := fmt.Sprintf("$%d", litIdx)
+					lit := funcBody{name: name + suffix, fn: n, body: n.Body, deferred: deferred[n]}
+					if key != "" {
+						lit.key = key + suffix
+					}
+					visit(lit)
 				}
 				return true
 			})

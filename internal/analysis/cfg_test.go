@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -12,6 +14,14 @@ import (
 // parseCFG type-checks a dependency-free snippet and builds the CFG of the
 // function named fn.
 func parseCFG(t *testing.T, src, fn string) *CFG {
+	t.Helper()
+	pkg, body := parseFuncBody(t, src, fn)
+	return buildCFG(pkg, fn, body, nil)
+}
+
+// parseFuncBody type-checks a dependency-free snippet and returns the
+// package with the body of the function named fn.
+func parseFuncBody(t *testing.T, src, fn string) (*Package, *ast.BlockStmt) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "cfg_test.go", "package p\n"+src, parser.ParseComments|parser.SkipObjectResolution)
@@ -33,11 +43,11 @@ func parseCFG(t *testing.T, src, fn string) *CFG {
 	pkg := &Package{ImportPath: "p", Fset: fset, Files: []*ast.File{file}, Types: tpkg, Info: info}
 	for _, decl := range file.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == fn && fd.Body != nil {
-			return buildCFG(pkg, fn, fd.Body, nil)
+			return pkg, fd.Body
 		}
 	}
 	t.Fatalf("function %q not found", fn)
-	return nil
+	return nil, nil
 }
 
 func TestCFGShapes(t *testing.T) {
@@ -218,5 +228,142 @@ func TestCFGLabeledGoto(t *testing.T) {
 	}
 	if !hasExitEdge {
 		t.Fatal("no edge reaches the exit block")
+	}
+}
+
+// genAssignHooks is a minimal obligation lattice for pinning the solver: an
+// assignment to a plain identifier makes it a fact, nothing kills.
+func genAssignHooks(pkg *Package, observe func(n ast.Node, fs factSet)) flowHooks {
+	return flowHooks{
+		transfer: func(n ast.Node, fs factSet) {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, l := range as.Lhs {
+					if obj := assignedObj(pkg, l); obj != nil {
+						fs[obj] = fact{acquired: as.Pos(), desc: obj.Name()}
+					}
+				}
+			}
+		},
+		report: observe,
+	}
+}
+
+// factNames renders a fact set's variable names, sorted.
+func factNames(fs factSet) string {
+	var names []string
+	for obj := range fs {
+		names = append(names, obj.Name())
+	}
+	sort.Strings(names)
+	return strings.Join(names, ",")
+}
+
+// TestFlowSolverUnreachableBlocks pins how the obligation solver treats
+// code no path from the entry reaches (after panic): the block keeps the
+// empty fact set, and the report replay still visits it with that set.
+func TestFlowSolverUnreachableBlocks(t *testing.T) {
+	pkg, body := parseFuncBody(t, `func f(c bool) int {
+		x := 1
+		if c {
+			panic("boom")
+			return x + 1
+		}
+		return x
+	}`, "f")
+	cfg := buildCFG(pkg, "f", body, nil)
+	var got []string
+	runFlow(pkg, cfg, nil, genAssignHooks(pkg, func(n ast.Node, fs factSet) {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			got = append(got, fmt.Sprintf("line %d: {%s}", pkg.Fset.Position(ret.Pos()).Line, factNames(fs)))
+		}
+	}))
+	sort.Strings(got)
+	want := []string{"line 6: {}", "line 8: {x}"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("reported returns = %q, want %q", got, want)
+	}
+}
+
+// TestFlowSolverLoopSecondVisit pins iteration to the fixpoint: a fact
+// generated in the loop body reaches the loop header (and the return after
+// the loop) only through the back edge, i.e. on the header's second visit.
+func TestFlowSolverLoopSecondVisit(t *testing.T) {
+	pkg, body := parseFuncBody(t, `func f(n int) int {
+		i := 0
+		for i < n {
+			y := i
+			i = y + 1
+		}
+		return i
+	}`, "f")
+	cfg := buildCFG(pkg, "f", body, nil)
+	var cond, ret string
+	runFlow(pkg, cfg, nil, genAssignHooks(pkg, func(n ast.Node, fs factSet) {
+		switch n.(type) {
+		case *ast.BinaryExpr:
+			cond = factNames(fs)
+		case *ast.ReturnStmt:
+			ret = factNames(fs)
+		}
+	}))
+	if cond != "i,y" || ret != "i,y" {
+		t.Errorf("facts at loop header = {%s}, at return = {%s}; want {i,y} at both", cond, ret)
+	}
+}
+
+// countCalls counts calls to the named function for the path counter.
+func countCalls(name string) func(ast.Node) int {
+	return func(n ast.Node) int {
+		c := 0
+		ast.Inspect(n, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == name {
+					c++
+				}
+			}
+			return true
+		})
+		return c
+	}
+}
+
+// TestPathCountUnreachableAndLoops pins wgbalance's [min, max] path
+// counter: code after a terminating call contributes nothing to the exit's
+// count, and a call inside a loop saturates max only after the back edge is
+// taken (second visit of the header).
+func TestPathCountUnreachableAndLoops(t *testing.T) {
+	tests := []struct {
+		name string
+		src  string
+		want pathCount
+	}{
+		{"after panic", `func f(c bool) {
+			done()
+			if c {
+				panic("boom")
+				done()
+			}
+		}
+		func done() {}`, pathCount{1, 1}},
+		{"loop", `func f(n int) {
+			for i := 0; i < n; i++ {
+				done()
+			}
+		}
+		func done() {}`, pathCount{0, 2}},
+		{"never returns", `func f() {
+			done()
+			panic("boom")
+		}
+		func done() {}`, pathCount{0, 0}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			pkg, body := parseFuncBody(t, tt.src, "f")
+			got := countOnPaths(&Context{}, pkg, "f", body, countCalls("done"))
+			if got != tt.want {
+				t.Errorf("countOnPaths = %+v, want %+v", got, tt.want)
+			}
+		})
 	}
 }

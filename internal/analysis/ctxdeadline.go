@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -66,28 +67,56 @@ var gsiDelegationFuncs = map[string]bool{
 }
 
 func runCtxDeadline(ctx *Context, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	diags = append(diags, ctxIgnoringDials(pkg)...)
-	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
-		cfg := ctx.cfgOf(pkg, name, body)
+	diags := ctxIgnoringDials(pkg)
+	// A deadline-arming call discharges its receiver, and any other call
+	// boundary discharges too (the callee may arm). Findings fire only at
+	// the blocking sinks, once per connection.
+	o := &obligation{ctx: ctx, pkg: pkg, tracks: isDeadlineConn, acquire: unarmedAcquire(ctx, pkg),
+		recv: func(call *ast.CallExpr, fn *types.Func) types.Object {
+			if fn != nil && deadlineMethodNames[fn.Name()] {
+				return recvObj(pkg, call)
+			}
+			return nil
+		}}
+	funcBodies(pkg, func(fb funcBody) {
 		reported := make(map[types.Object]bool)
-		runFlow(pkg, cfg, nil, flowHooks{
-			transfer: func(n ast.Node, fs factSet) {
-				ctxDeadlineTransfer(ctx, pkg, n, fs)
-			},
-			report: func(n ast.Node, fs factSet) {
-				applyCalls(pkg, n, func(call *ast.CallExpr) {
-					obj, msg := deadlineSink(pkg, call, fs)
-					if obj == nil || reported[obj] {
-						return
-					}
+		o.sink = func(n ast.Node, fs factSet) {
+			applyCalls(pkg, n, func(call *ast.CallExpr) {
+				if obj, msg := deadlineSink(pkg, call, fs); obj != nil && !reported[obj] {
 					reported[obj] = true
 					diags = append(diags, pkg.diag("ctxdeadline", call.Pos(), "%s", msg))
-				})
-			},
-		})
+				}
+			})
+		}
+		o.run(ctx.cfgOf(pkg, fb.name, fb.body), nil)
 	})
 	return diags
+}
+
+// unarmedAcquire names the connection a root call hands back with no
+// deadline armed: the unarmed dial/accept keys, a repository function
+// returning a fresh conn it does not arm, or a tls.Client/tls.Server wrap of
+// a tracked conn (unarmed exactly when the wrapped conn was).
+func unarmedAcquire(ctx *Context, pkg *Package) func(token.Pos, *ast.CallExpr, factSet) (string, bool) {
+	return func(_ token.Pos, call *ast.CallExpr, fs factSet) (string, bool) {
+		fn := calleeFunc(pkg, call)
+		key := funcKey(fn)
+		if tlsWrapKeys[key] {
+			desc, unarmed := "", false
+			for _, arg := range call.Args {
+				if f, ok := fs[identObj(pkg, arg)]; ok {
+					desc, unarmed = f.desc, true
+				}
+			}
+			if unarmed {
+				return desc, true
+			}
+		}
+		if sum := ctx.Summaries.of(fn); unarmedConnKeys[key] || (sum != nil && sum.freshConn && !sum.armsResult) {
+			return "the connection from " + shortCallee(fn), true
+		}
+		return "", false
+	}
 }
 
 // deadlineSink matches a blocking entry point using a tracked (unarmed)
@@ -119,126 +148,24 @@ func deadlineSink(pkg *Package, call *ast.CallExpr, fs factSet) (types.Object, s
 	return nil, ""
 }
 
-func ctxDeadlineTransfer(ctx *Context, pkg *Package, n ast.Node, fs factSet) {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		ctxDeadlineAssign(ctx, pkg, n, fs)
-	case *ast.DeferStmt, *ast.GoStmt:
-		for obj := range fs {
-			if mentionsObj(pkg, n, obj) {
-				delete(fs, obj)
-			}
-		}
-	case *ast.ReturnStmt:
-		for obj := range fs {
-			delete(fs, obj)
-		}
-	default:
-		ctxDeadlineCalls(pkg, n, fs)
-		killEscapedMentions(pkg, n, fs, nil)
-	}
-}
-
-// ctxDeadlineCalls kills facts armed by a deadline call and discharges
-// tracked values passed across other call boundaries (the callee may arm).
-func ctxDeadlineCalls(pkg *Package, n ast.Node, fs factSet) {
-	applyCalls(pkg, n, func(call *ast.CallExpr) {
-		fn := calleeFunc(pkg, call)
-		if fn != nil && deadlineMethodNames[fn.Name()] {
-			if obj := recvObj(pkg, call); obj != nil {
-				delete(fs, obj)
-				return
-			}
-		}
-		for _, arg := range call.Args {
-			if obj := identObj(pkg, arg); obj != nil {
-				delete(fs, obj)
-			}
-		}
-	})
-}
-
-func ctxDeadlineAssign(ctx *Context, pkg *Package, as *ast.AssignStmt, fs factSet) {
-	lhs := make([]types.Object, len(as.Lhs))
-	for i, l := range as.Lhs {
-		lhs[i] = assignedObj(pkg, l)
-	}
-	errObj := pairedErr(lhs)
-
-	var genCall *ast.CallExpr
-	if len(as.Rhs) == 1 {
-		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-			genCall = call
-		}
-	}
-
-	// Wrap transfer: tls.Client(raw, cfg) is unarmed exactly when raw is.
-	wrapUnarmed := false
-	var wrapFrom fact
-	if genCall != nil && tlsWrapKeys[funcKey(calleeFunc(pkg, genCall))] {
-		for _, arg := range genCall.Args {
-			if obj := identObj(pkg, arg); obj != nil {
-				if f, ok := fs[obj]; ok {
-					wrapUnarmed, wrapFrom = true, f
-				}
-			}
-		}
-	}
-
-	ctxDeadlineCalls(pkg, as, fs)
-	killEscapedMentions(pkg, as, fs, nil)
-	invalidateAssigned(fs, lhs)
-
-	if genCall == nil {
-		return
-	}
-	fn := calleeFunc(pkg, genCall)
-	desc, unarmed := "", false
-	switch {
-	case wrapUnarmed:
-		desc, unarmed = wrapFrom.desc, true
-	case unarmedConnKeys[funcKey(fn)]:
-		desc, unarmed = "the connection from "+shortCallee(fn), true
-	default:
-		if sum := ctx.Summaries.of(fn); sum != nil && sum.freshConn && !sum.armsResult {
-			desc, unarmed = "the connection from "+shortCallee(fn), true
-		}
-	}
-	if !unarmed {
-		return
-	}
-	for _, o := range lhs {
-		if o != nil && isDeadlineConn(o.Type()) {
-			fs[o] = fact{acquired: as.Pos(), desc: desc, err: errObj, errLive: errIsNil}
-		}
-	}
-}
-
 // ctxIgnoringDials reports context-less dial calls inside functions that
 // have a context.Context parameter to thread through.
 func ctxIgnoringDials(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasContextParam(pkg, fd) {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				key := funcKey(calleeFunc(pkg, call))
-				if ctxlessDialKeys[key] {
-					diags = append(diags, pkg.diag("ctxdeadline", call.Pos(),
-						"%s ignores this function's context; use a context-aware dial (DialContext) so cancellation propagates",
-						shortCallee(calleeFunc(pkg, call))))
-				}
-				return true
-			})
+	funcBodies(pkg, func(fb funcBody) {
+		fd, ok := fb.fn.(*ast.FuncDecl)
+		if !ok || !hasContextParam(pkg, fd) {
+			return
 		}
-	}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && ctxlessDialKeys[funcKey(calleeFunc(pkg, call))] {
+				diags = append(diags, pkg.diag("ctxdeadline", call.Pos(),
+					"%s ignores this function's context; use a context-aware dial (DialContext) so cancellation propagates",
+					shortCallee(calleeFunc(pkg, call))))
+			}
+			return true
+		})
+	})
 	return diags
 }
 

@@ -98,18 +98,6 @@ func (fs factSet) join(src factSet) bool {
 	return changed
 }
 
-func (fs factSet) equal(other factSet) bool {
-	if len(fs) != len(other) {
-		return false
-	}
-	for k, v := range fs {
-		if o, ok := other[k]; !ok || o != v {
-			return false
-		}
-	}
-	return true
-}
-
 // clearErrPair drops err pairings referring to obj, called when obj is
 // reassigned.
 func (fs factSet) clearErrPair(obj types.Object) {
@@ -139,67 +127,362 @@ type flowHooks struct {
 	refine func(cond ast.Expr, val bool, fs factSet)
 }
 
-// runFlow iterates the CFG to a fixpoint and then replays each block once
-// with the report hook. seed, when non-nil, initializes the entry facts
-// (used by summary computation to model a parameter in the tracked state).
-// It returns the per-block entry fact sets; callers interested in "what is
-// still live at some return" read the exit block's set.
-func runFlow(pkg *Package, cfg *CFG, seed factSet, hooks flowHooks) []factSet {
-	in := make([]factSet, len(cfg.Blocks))
-	for i := range in {
-		in[i] = make(factSet)
-	}
-	if seed != nil {
-		in[cfg.Entry.Index] = seed.clone()
-	}
+// flowSpec describes one lattice to the worklist solver (solveFlow). The
+// obligation facts, the lock lattice and wgbalance's path counter are all
+// solved by the same loop; how they differ is data here, not a second loop.
+type flowSpec[S any] struct {
+	// bottom, when non-nil, seeds every block with bottom() and queues all
+	// blocks up front (a may-lattice: joins only re-queue on change, so
+	// starting from the entry alone would never visit the rest of the graph
+	// while the sets are empty). Blocks no path from the entry reaches keep
+	// bottom and are replayed with it. When nil, only the entry is seeded,
+	// and a block's first incoming edge copies its predecessor's state
+	// instead of joining it — what a must-lattice needs, since joining
+	// against a default state would erase the must bits of every block not
+	// reached yet. Blocks never reached keep no state and are not replayed.
+	bottom func() S
+	clone  func(S) S
+	// join merges src into dst, returning the result and whether it changed.
+	join func(dst, src S) (S, bool)
+	// transfer applies one shallow CFG node (see Block.Nodes).
+	transfer func(n ast.Node, s S) S
+	// refine, when non-nil, narrows a private copy of the out-state along a
+	// conditional edge.
+	refine func(e Edge, s S) S
+	// observe, when non-nil, sees the state holding immediately before each
+	// node during one final replay of the stable solution.
+	observe func(n ast.Node, s S)
+}
 
-	// Worklist fixpoint. Every block is queued once up front: joins only
-	// re-queue on *change*, so starting from the entry alone would never
-	// visit the rest of the graph while the sets are still empty.
-	work := make([]*Block, len(cfg.Blocks))
+// solveFlow iterates spec over the CFG to a fixpoint from the entry state,
+// replays the reached blocks through spec.observe, and returns the
+// per-block entry states and which blocks were reached.
+func solveFlow[S any](cfg *CFG, entry S, spec flowSpec[S]) ([]S, []bool) {
+	in := make([]S, len(cfg.Blocks))
+	reached := make([]bool, len(cfg.Blocks))
 	queued := make([]bool, len(cfg.Blocks))
-	for i, blk := range cfg.Blocks {
-		work[i] = blk
-		queued[i] = true
-	}
-	for iter := 0; len(work) > 0; iter++ {
-		if iter > 100000 {
-			break // defensive: lattice is finite, this should be unreachable
+	work := []*Block{cfg.Entry}
+	if spec.bottom != nil {
+		work = append([]*Block(nil), cfg.Blocks...)
+		for i := range in {
+			in[i], reached[i] = spec.bottom(), true
 		}
+	}
+	for _, blk := range work {
+		queued[blk.Index] = true
+	}
+	in[cfg.Entry.Index], reached[cfg.Entry.Index] = entry, true
+	for iter := 0; len(work) > 0 && iter <= 100000; iter++ { // the lattices are finite; the cap is defensive
 		blk := work[0]
 		work = work[1:]
 		queued[blk.Index] = false
-
-		out := in[blk.Index].clone()
+		out := spec.clone(in[blk.Index])
 		for _, n := range blk.Nodes {
-			hooks.transfer(n, out)
+			out = spec.transfer(n, out)
 		}
 		for _, e := range blk.Succs {
-			edgeFacts := out
-			if e.Cond != nil {
-				edgeFacts = out.clone()
-				refineCond(pkg, e.Cond, e.Val, edgeFacts)
-				if hooks.refine != nil {
-					hooks.refine(e.Cond, e.Val, edgeFacts)
+			s, to := out, e.To.Index
+			if e.Cond != nil && spec.refine != nil {
+				s = spec.refine(e, spec.clone(out))
+			}
+			changed := !reached[to]
+			if changed {
+				in[to], reached[to] = spec.clone(s), true
+			} else {
+				in[to], changed = spec.join(in[to], s)
+			}
+			if changed && !queued[to] {
+				work = append(work, e.To)
+				queued[to] = true
+			}
+		}
+	}
+	if spec.observe != nil {
+		for _, blk := range cfg.Blocks {
+			if !reached[blk.Index] {
+				continue
+			}
+			s := spec.clone(in[blk.Index])
+			for _, n := range blk.Nodes {
+				spec.observe(n, s)
+				s = spec.transfer(n, s)
+			}
+		}
+	}
+	return in, reached
+}
+
+// runFlow solves the obligation fact lattice over the CFG, seeding every
+// block, with the engine's nil/err edge refinement. seed, when non-nil,
+// initializes the entry facts (the summary sweep models a parameter in the
+// tracked state this way).
+func runFlow(pkg *Package, cfg *CFG, seed factSet, hooks flowHooks) {
+	entry := make(factSet)
+	if seed != nil {
+		entry = seed.clone()
+	}
+	solveFlow(cfg, entry, flowSpec[factSet]{
+		bottom: func() factSet { return make(factSet) },
+		clone:  factSet.clone,
+		join:   func(dst, src factSet) (factSet, bool) { return dst, dst.join(src) },
+		transfer: func(n ast.Node, fs factSet) factSet {
+			hooks.transfer(n, fs)
+			return fs
+		},
+		refine: func(e Edge, fs factSet) factSet {
+			refineCond(pkg, e.Cond, e.Val, fs)
+			if hooks.refine != nil {
+				hooks.refine(e.Cond, e.Val, fs)
+			}
+			return fs
+		},
+		observe: hooks.report,
+	})
+}
+
+// obligation is one pass's spec for the shared obligation tracker: what
+// acquires a fact, what discharges it, and where a live fact is reported.
+// connleak, zeroize, deferclose and ctxdeadline are obligations, and so are
+// the closesParam/leakOnError parameter fates of the summary sweep; one
+// transfer (obligation.transfer) and one report loop (obligation.run) serve
+// them all.
+//
+// The transfer every spec shares: an assignment invalidates its targets
+// (clearing error pairings with their old values) and generates the
+// acquired fact, paired with the statement's error variable so the fact
+// dies on err != nil edges; each spec of a `var` declaration is the same
+// assignment; a return ends the path; a defer or go statement that
+// mentions a tracked value discharges it (the deferred or spawned work is
+// assumed to be its cleanup); every other node applies its calls' discharge
+// rules and drops values that escape (killEscapedMentions).
+type obligation struct {
+	ctx *Context
+	pkg *Package
+	// tracks selects the assignment targets an acquisition attaches to.
+	tracks func(types.Type) bool
+	// acquire reports whether the root call of an assignment at pos
+	// acquires, and what ("gsi.Client result"). It sees the facts holding
+	// before the statement's own effects.
+	acquire func(pos token.Pos, call *ast.CallExpr, fs factSet) (string, bool)
+	// recv returns the receiver a call discharges (x.Close(),
+	// x.SetDeadline(...)), or nil.
+	recv func(call *ast.CallExpr, fn *types.Func) types.Object
+	// discharges reports whether passing obj as parameter param discharges
+	// it (a callee summary that closes or wipes it, clear(obj)).
+	discharges func(call *ast.CallExpr, fn *types.Func, param int, obj types.Object) bool
+	// passKeeps: any other argument pass keeps the obligation (the callee
+	// reading a secret does not wipe it). Otherwise the argument pass
+	// discharges, since the callee may close or arm the value.
+	passKeeps bool
+	// wrap, when set, moves ownership into an assignment root call's
+	// tracked result (connleak): the first tracked argument's fact becomes
+	// the result's, and wrap decides what is left of the argument's.
+	wrap func(obj types.Object, f fact, errObj types.Object, fs factSet)
+	// rekey, when set, may handle an assignment by moving a fact to its
+	// target instead (zeroize's aliases), reporting whether it did.
+	rekey func(lhs []types.Object, rhs []ast.Expr, fs factSet) bool
+	// rangeKill, when set, discharges facts a range statement settles
+	// (zeroize's zeroing loop).
+	rangeKill func(r *ast.RangeStmt, obj types.Object) bool
+	// deferIsNode treats defer and go statements like any other node
+	// (parameter fates) instead of discharging what they mention.
+	deferIsNode bool
+	// leak, when set, is called once per tracked object still live where a
+	// path leaves the function: at a return that does not hand the value
+	// back (atEnd false), or at the closing brace (atEnd true); line is
+	// that return's or brace's line.
+	leak func(f fact, line int, atEnd bool)
+	// sink, when set, observes every node with the facts holding before it
+	// instead (deferclose's defer, ctxdeadline's blocking calls).
+	sink func(n ast.Node, fs factSet)
+}
+
+// run tracks the obligation through one CFG from the entry facts seed.
+func (o *obligation) run(cfg *CFG, seed factSet) {
+	reported := make(map[types.Object]bool)
+	runFlow(o.pkg, cfg, seed, flowHooks{transfer: o.transfer, report: func(n ast.Node, fs factSet) {
+		if o.sink != nil {
+			o.sink(n, fs)
+			return
+		}
+		ret, isRet := n.(*ast.ReturnStmt)
+		if _, isEnd := n.(*ast.BlockStmt); !isRet && !isEnd {
+			return
+		}
+		for obj, f := range fs {
+			if reported[obj] || (isRet && mentionsObj(o.pkg, ret, obj)) {
+				continue
+			}
+			reported[obj] = true
+			if isRet {
+				o.leak(f, o.pkg.Fset.Position(ret.Pos()).Line, false)
+			} else {
+				o.leak(f, o.pkg.Fset.Position(n.End()).Line, true)
+			}
+		}
+	}})
+}
+
+// runBodies tracks the obligation through every function body of the
+// package.
+func (o *obligation) runBodies() {
+	funcBodies(o.pkg, func(fb funcBody) {
+		o.run(o.ctx.cfgOf(o.pkg, fb.name, fb.body), nil)
+	})
+}
+
+func (o *obligation) transfer(n ast.Node, fs factSet) {
+	switch n := n.(type) {
+	case *ast.AssignStmt, *ast.DeclStmt:
+		assignments(o.pkg, n, func(at ast.Node, lhs []types.Object, rhs []ast.Expr) {
+			o.assign(at, lhs, rhs, fs)
+		})
+		return
+	case *ast.DeferStmt, *ast.GoStmt:
+		if !o.deferIsNode {
+			for obj := range fs {
+				if mentionsObj(o.pkg, n, obj) {
+					delete(fs, obj)
 				}
 			}
-			if in[e.To.Index].join(edgeFacts) && !queued[e.To.Index] {
-				work = append(work, e.To)
-				queued[e.To.Index] = true
+			return
+		}
+	case *ast.ReturnStmt:
+		clear(fs) // reported (or handed back) by run; the path ends here
+		return
+	case *ast.RangeStmt:
+		if o.rangeKill != nil {
+			for obj := range fs {
+				if o.rangeKill(n, obj) {
+					delete(fs, obj)
+				}
 			}
 		}
 	}
+	o.effects(n, fs)
+}
 
-	if hooks.report != nil {
-		for _, blk := range cfg.Blocks {
-			fs := in[blk.Index].clone()
-			for _, n := range blk.Nodes {
-				hooks.report(n, fs)
-				hooks.transfer(n, fs)
+// assignments calls f for each assignment n performs: an assignment
+// statement itself, or each spec of a `var` declaration. lhs holds the
+// targets' variables (nil for blank or non-variable targets).
+func assignments(pkg *Package, n ast.Node, f func(at ast.Node, lhs []types.Object, rhs []ast.Expr)) {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		lhs := make([]types.Object, len(n.Lhs))
+		for i, l := range n.Lhs {
+			lhs[i] = assignedObj(pkg, l)
+		}
+		f(n, lhs, n.Rhs)
+	case *ast.DeclStmt:
+		gd, _ := n.Decl.(*ast.GenDecl)
+		for _, spec := range gd.Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				lhs := make([]types.Object, len(vs.Names))
+				for i, id := range vs.Names {
+					lhs[i] = assignedObj(pkg, id)
+				}
+				f(vs, lhs, vs.Values)
 			}
 		}
 	}
-	return in
+}
+
+// effects applies a node's call discharge rules and its escapes.
+func (o *obligation) effects(n ast.Node, fs factSet) {
+	applyCalls(o.pkg, n, func(call *ast.CallExpr) { o.call(call, fs, nil, false) })
+	killEscapedMentions(o.pkg, n, fs)
+}
+
+// assign is the shared assignment prologue: every call but the root applies
+// its discharge rules, escapes are dropped, the targets invalidated, and
+// then the root call applies its own rules and generates the acquired (or
+// wrapped) fact for the tracked targets.
+func (o *obligation) assign(n ast.Node, lhs []types.Object, rhs []ast.Expr, fs factSet) {
+	if o.rekey != nil && o.rekey(lhs, rhs, fs) {
+		return
+	}
+	var root *ast.CallExpr
+	if len(rhs) == 1 {
+		root, _ = ast.Unparen(rhs[0]).(*ast.CallExpr)
+	}
+	desc, acquired := "", false
+	if root != nil && o.acquire != nil {
+		desc, acquired = o.acquire(n.Pos(), root, fs)
+	}
+	applyCalls(o.pkg, n, func(call *ast.CallExpr) {
+		if call != root {
+			o.call(call, fs, nil, false)
+		}
+	})
+	killEscapedMentions(o.pkg, n, fs)
+	invalidateAssigned(fs, lhs)
+	if root == nil {
+		return
+	}
+	errObj := pairedErr(lhs)
+	tracked := false
+	for _, obj := range lhs {
+		tracked = tracked || (obj != nil && o.tracks(obj.Type()))
+	}
+	from := o.call(root, fs, errObj, tracked)
+	if acquired {
+		from = &fact{acquired: n.Pos(), desc: desc}
+	}
+	if from == nil {
+		return
+	}
+	for _, obj := range lhs {
+		if obj != nil && o.tracks(obj.Type()) {
+			fs[obj] = fact{acquired: from.acquired, desc: from.desc, err: errObj, errLive: errIsNil}
+		}
+	}
+}
+
+// call applies one call's discharge rules to the tracked values it touches.
+// For an assignment's root call whose result lands in a tracked target
+// (wrapsResult), a wrap spec moves ownership of the first tracked argument
+// into the result and returns that fact; errObj is the statement's error
+// variable.
+func (o *obligation) call(call *ast.CallExpr, fs factSet, errObj types.Object, wrapsResult bool) *fact {
+	fn := calleeFunc(o.pkg, call)
+	if o.recv != nil {
+		if obj := o.recv(call, fn); obj != nil {
+			delete(fs, obj)
+			return nil
+		}
+	}
+	var wrapped *fact
+	for i, arg := range call.Args {
+		obj := identObj(o.pkg, arg)
+		f, tracked := fs[obj]
+		if obj == nil || !tracked {
+			continue
+		}
+		switch {
+		case o.discharges != nil && o.discharges(call, fn, argParamIndex(fn, i), obj):
+			delete(fs, obj)
+		case o.wrap != nil && wrapsResult:
+			if wrapped == nil {
+				w := f
+				wrapped = &w
+			}
+			o.wrap(obj, f, errObj, fs)
+		case !o.passKeeps:
+			delete(fs, obj)
+		}
+	}
+	return wrapped
+}
+
+// closeRecv is the discharge-by-Close receiver rule (connleak, deferclose,
+// parameter fates).
+func (o *obligation) closeRecv(call *ast.CallExpr, _ *types.Func) types.Object {
+	return closeReceiver(o.pkg, call)
+}
+
+// closesArg discharges an argument whose callee summary closes it.
+func (o *obligation) closesArg(_ *ast.CallExpr, fn *types.Func, param int, _ types.Object) bool {
+	return o.ctx.Summaries.of(fn).closesParam(param)
 }
 
 // refineCond prunes facts using the truth of a branch condition. Handles the

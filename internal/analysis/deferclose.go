@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 )
@@ -22,30 +23,32 @@ var DeferClose = &Pass{
 
 func runDeferClose(ctx *Context, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
-		cfg := ctx.cfgOf(pkg, name, body)
-		runFlow(pkg, cfg, nil, flowHooks{
-			transfer: func(n ast.Node, fs factSet) {
-				deferCloseTransfer(ctx, pkg, n, fs)
-			},
-			report: func(n ast.Node, fs factSet) {
-				def, ok := n.(*ast.DeferStmt)
-				if !ok {
-					return
-				}
-				obj := closeReceiver(pkg, def.Call)
-				if obj == nil {
-					return
-				}
-				f, tracked := fs[obj]
-				if !tracked || hasCheckedClose(pkg, body, obj) {
-					return
-				}
+	// Only writable opens acquire; an explicit Close (checked or not — the
+	// explicit form is visible in review, the deferred one is what this
+	// pass is about) discharges, and so does any other call boundary.
+	o := &obligation{ctx: ctx, pkg: pkg, tracks: isCloserType,
+		acquire: func(pos token.Pos, call *ast.CallExpr, _ factSet) (string, bool) {
+			if _, writable := acquirerCall(pkg, ctx.Summaries, call); !writable {
+				return "", false
+			}
+			return "the " + shortCallee(calleeFunc(pkg, call)) + " handle opened at line " +
+				strconv.Itoa(pkg.Fset.Position(pos).Line), true
+		}}
+	o.recv = o.closeRecv
+	funcBodies(pkg, func(fb funcBody) {
+		o.sink = func(n ast.Node, fs factSet) {
+			def, ok := n.(*ast.DeferStmt)
+			if !ok {
+				return
+			}
+			obj := closeReceiver(pkg, def.Call)
+			if f, tracked := fs[obj]; obj != nil && tracked && !hasCheckedClose(pkg, fb.body, obj) {
 				diags = append(diags, pkg.diag("deferclose", def.Pos(),
 					"defer %s.Close() discards the close error of %s (write handle); a dropped close error is a dropped commit — close explicitly and check the error",
 					obj.Name(), f.desc))
-			},
-		})
+			}
+		}
+		o.run(ctx.cfgOf(pkg, fb.name, fb.body), nil)
 	})
 	return diags
 }
@@ -79,75 +82,4 @@ func hasCheckedClose(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
 		return false
 	})
 	return checked
-}
-
-func deferCloseTransfer(ctx *Context, pkg *Package, n ast.Node, fs factSet) {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		deferCloseAssign(ctx, pkg, n, fs)
-	case *ast.DeferStmt, *ast.GoStmt:
-		for obj := range fs {
-			if mentionsObj(pkg, n, obj) {
-				delete(fs, obj)
-			}
-		}
-	case *ast.ReturnStmt:
-		for obj := range fs {
-			delete(fs, obj)
-		}
-	default:
-		deferCloseCalls(pkg, n, fs)
-		killEscapedMentions(pkg, n, fs, nil)
-	}
-}
-
-// deferCloseCalls: an explicit Close (checked or not — the explicit form is
-// visible in review, the deferred one is what this pass is about) kills the
-// obligation, and so does any other call boundary crossing.
-func deferCloseCalls(pkg *Package, n ast.Node, fs factSet) {
-	applyCalls(pkg, n, func(call *ast.CallExpr) {
-		if obj := closeReceiver(pkg, call); obj != nil {
-			delete(fs, obj)
-			return
-		}
-		for _, arg := range call.Args {
-			if obj := identObj(pkg, arg); obj != nil {
-				delete(fs, obj)
-			}
-		}
-	})
-}
-
-func deferCloseAssign(ctx *Context, pkg *Package, as *ast.AssignStmt, fs factSet) {
-	lhs := make([]types.Object, len(as.Lhs))
-	for i, l := range as.Lhs {
-		lhs[i] = assignedObj(pkg, l)
-	}
-	errObj := pairedErr(lhs)
-
-	var genCall *ast.CallExpr
-	if len(as.Rhs) == 1 {
-		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-			genCall = call
-		}
-	}
-	deferCloseCalls(pkg, as, fs)
-	killEscapedMentions(pkg, as, fs, nil)
-	invalidateAssigned(fs, lhs)
-
-	if genCall == nil {
-		return
-	}
-	if _, writable := acquirerCall(pkg, ctx.Summaries, genCall); !writable {
-		return
-	}
-	fn := calleeFunc(pkg, genCall)
-	for _, o := range lhs {
-		if o != nil && isCloserType(o.Type()) {
-			fs[o] = fact{acquired: as.Pos(),
-				desc: "the " + shortCallee(fn) + " handle opened at line " +
-					strconv.Itoa(pkg.Fset.Position(as.Pos()).Line),
-				err: errObj, errLive: errIsNil}
-		}
-	}
 }

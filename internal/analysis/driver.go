@@ -42,8 +42,8 @@ type PassStat struct {
 }
 
 // Run loads the patterns, executes the passes, and applies pragma
-// suppression. Malformed pragmas surface as findings of the reserved
-// "pragma" pass and cannot themselves be suppressed.
+// suppression. Malformed and stale pragmas surface as findings of the
+// reserved "pragma" pass and cannot themselves be suppressed.
 func Run(patterns []string, passes []*Pass) (*Report, error) {
 	pkgs, err := Load(patterns...)
 	if err != nil {
@@ -59,26 +59,28 @@ func Run(patterns []string, passes []*Pass) (*Report, error) {
 // (its bottom-up SCC order is inherently serial per component and cheap
 // relative to the passes).
 func RunPackages(pkgs []*Package, passes []*Pass) *Report {
-	ctx := &Context{
-		SecretTypes: collectSecretTypes(pkgs),
-		Verdicts:    collectVerdictTypes(pkgs),
-	}
-	guarded, guardDiags := collectGuarded(pkgs)
-	ctx.Guarded = guarded
-	ctx.Summaries = buildSummaries(ctx, pkgs)
-	collectHotCone(ctx, pkgs)
 	// Pragmas may name any registered pass, not just the ones in this run:
 	// a -pass-filtered development run must not misreport the repository's
 	// existing allowances as typos.
 	known := make(map[string]bool, len(Passes)+len(passes))
+	ran := make(map[string]bool, len(passes))
 	for _, p := range Passes {
 		known[p.Name] = true
 	}
 	for _, p := range passes {
 		known[p.Name] = true
+		ran[p.Name] = true
 	}
-	pragmas, pragmaDiags := collectPragmas(pkgs, known)
-	pragmaDiags = append(pragmaDiags, guardDiags...)
+	marks, pragmaDiags := scanMarkers(pkgs, known)
+	ctx := &Context{
+		SecretTypes:    marks.secretTypes,
+		Verdicts:       marks.verdicts,
+		Guarded:        marks.guarded,
+		UntrustedTypes: marks.untrustedTypes,
+		markers:        marks,
+	}
+	ctx.Summaries = buildSummaries(ctx, pkgs)
+	collectHotCone(ctx)
 
 	// Fan out per package; indexed result slots keep collection
 	// order-independent (sortDiags fixes the final order regardless).
@@ -123,12 +125,13 @@ func RunPackages(pkgs []*Package, passes []*Pass) *Report {
 
 	rep := &Report{Findings: pragmaDiags, Files: analyzedFiles(pkgs)}
 	for _, d := range all {
-		if pragmas.suppressed(d) {
+		if marks.allows.suppressed(d) {
 			rep.Suppressed = append(rep.Suppressed, d)
 		} else {
 			rep.Findings = append(rep.Findings, d)
 		}
 	}
+	rep.Findings = append(rep.Findings, marks.allows.stale(ran)...)
 	sortDiags(rep.Findings)
 	sortDiags(rep.Suppressed)
 

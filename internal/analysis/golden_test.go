@@ -117,4 +117,19 @@ func TestPragmaScoping(t *testing.T) {
 	if !find(rep.Findings, "pragma", 31) {
 		t.Errorf("unknown pass name on line 31 should be a pragma finding")
 	}
+
+	// Line 38 allows weakrand on line 39, where nothing fires: a stale
+	// allowance is a finding, so a dropped finding cannot hide behind it.
+	if !find(rep.Findings, "pragma", 38) {
+		t.Errorf("stale allowance on line 38 should be a pragma finding")
+	}
+
+	// A run without weakrand does not judge weakrand allowances.
+	rep, err = Run([]string{"./testdata/src/pragma"}, []*Pass{SecretFlow})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if find(rep.Findings, "pragma", 38) {
+		t.Errorf("a run without weakrand must not call its allowance stale")
+	}
 }

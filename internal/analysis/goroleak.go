@@ -40,32 +40,19 @@ var GoroLeak = &Pass{
 
 func runGoroLeak(ctx *Context, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	funcBodies(pkg, func(fb funcBody) {
+		// A go statement's enclosing body is where its captured channels
+		// and conns live; nested literals are visited as their own bodies.
+		ast.Inspect(fb.body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.GoStmt:
+				diags = append(diags, checkGoStmt(ctx, pkg, n, fb.body)...)
 			}
-			// Track the innermost enclosing function body of each go
-			// statement: that is where its captured channels/conns live.
-			var bodies []*ast.BlockStmt
-			bodies = append(bodies, fd.Body)
-			var walk func(n ast.Node) bool
-			walk = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncLit:
-					bodies = append(bodies, n.Body)
-					ast.Inspect(n.Body, walk)
-					bodies = bodies[:len(bodies)-1]
-					return false
-				case *ast.GoStmt:
-					diags = append(diags, checkGoStmt(ctx, pkg, n, bodies[len(bodies)-1])...)
-				}
-				return true
-			}
-			ast.Inspect(fd.Body, walk)
-		}
-	}
+			return true
+		})
+	})
 	return diags
 }
 
@@ -100,21 +87,14 @@ func checkGoStmt(ctx *Context, pkg *Package, g *ast.GoStmt, enclosing *ast.Block
 // the function can neither return nor end via panic/os.Exit/Goexit.
 func cfgNeverExits(ctx *Context, pkg *Package, body *ast.BlockStmt) bool {
 	cfg := ctx.cfgOf(pkg, "go", body)
-	seen := make([]bool, len(cfg.Blocks))
-	stack := []*Block{cfg.Entry}
-	seen[cfg.Entry.Index] = true
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if len(blk.Succs) == 0 {
-			// The exit block, or a block ended by a terminating call.
-			return false
-		}
-		for _, e := range blk.Succs {
-			if !seen[e.To.Index] {
-				seen[e.To.Index] = true
-				stack = append(stack, e.To)
-			}
+	_, reached := solveFlow(cfg, struct{}{}, flowSpec[struct{}]{
+		clone:    func(s struct{}) struct{} { return s },
+		join:     func(dst, _ struct{}) (struct{}, bool) { return dst, false },
+		transfer: func(_ ast.Node, s struct{}) struct{} { return s },
+	})
+	for _, blk := range cfg.Blocks {
+		if reached[blk.Index] && len(blk.Succs) == 0 {
+			return false // the exit block, or a block ended by a terminating call
 		}
 	}
 	return true
@@ -123,7 +103,7 @@ func cfgNeverExits(ctx *Context, pkg *Package, body *ast.BlockStmt) bool {
 // checkLitChannelOps applies heuristics 2 and 3 to a go'd function literal.
 func checkLitChannelOps(ctx *Context, pkg *Package, g *ast.GoStmt, lit *ast.FuncLit, enclosing *ast.BlockStmt) []Diagnostic {
 	var diags []Diagnostic
-	comms := selectCommStmts(lit.Body)
+	comms := selectComms(lit.Body, 1)
 	reported := make(map[types.Object]bool)
 
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -220,7 +200,7 @@ func channelUsage(pkg *Package, ch types.Object, enclosing *ast.BlockStmt, spawn
 	})
 
 	// How is it used outside the spawned literal?
-	selects := multiWaySelectComms(enclosing)
+	selects := selectComms(enclosing, 2)
 	var stack []ast.Node
 	ast.Inspect(enclosing, func(n ast.Node) bool {
 		if n == nil {
@@ -302,28 +282,6 @@ func channelUsage(pkg *Package, ch types.Object, enclosing *ast.BlockStmt, spawn
 	return use
 }
 
-// multiWaySelectComms maps each communication statement belonging to a
-// select with more than one arm (or a default) — the abandonable kind.
-func multiWaySelectComms(body *ast.BlockStmt) map[ast.Node]bool {
-	out := make(map[ast.Node]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		if len(sel.Body.List) < 2 {
-			return true // single-arm select: as committed as a bare receive
-		}
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-				out[cc.Comm] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // enclosingStmt returns the innermost statement on the stack containing the
 // current node.
 func enclosingStmt(stack []ast.Node) ast.Node {
@@ -374,7 +332,7 @@ func checkLitConnReads(ctx *Context, pkg *Package, lit *ast.FuncLit, enclosing *
 		if definedWithin(pkg, lit.Body, obj) {
 			return true // the goroutine's own conn: connleak/ctxdeadline turf
 		}
-		if armsObjDeadline(pkg, lit.Body, obj) || armsObjDeadline(pkg, enclosing, obj) {
+		if armsDeadline(pkg, lit.Body, obj) || armsDeadline(pkg, enclosing, obj) {
 			return true
 		}
 		if closedOutside(pkg, enclosing, lit, obj) {
@@ -392,31 +350,6 @@ func checkLitConnReads(ctx *Context, pkg *Package, lit *ast.FuncLit, enclosing *
 // definedWithin reports whether obj's declaration lies inside the body.
 func definedWithin(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
 	return obj.Pos() >= body.Pos() && obj.Pos() <= body.End()
-}
-
-// armsObjDeadline reports whether the body calls a deadline-arming method on
-// obj (anywhere, including nested literals — arming is arming).
-func armsObjDeadline(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pkg, call)
-		if fn == nil || !deadlineMethodNames[fn.Name()] {
-			return true
-		}
-		if recvObj(pkg, call) == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // closedOutside reports whether the spawning function closes obj outside the

@@ -42,8 +42,6 @@ var GuardedBy = &Pass{
 	Run:  runGuardedBy,
 }
 
-const guardedbyMarker = "//myproxy:guardedby"
-
 // guardTable is the collected annotation set for one load.
 type guardTable struct {
 	// fields maps "pkgpath.StructType.field" to the sibling mutex field name.
@@ -56,94 +54,52 @@ func (g *guardTable) empty() bool {
 	return g == nil || (len(g.fields) == 0 && len(g.vars) == 0)
 }
 
-// collectGuarded parses every //myproxy:guardedby annotation in the load.
-// Malformed annotations — no target, an unknown sibling, a non-mutex — are
-// reported as "pragma" diagnostics, like other pragma misuse.
-func collectGuarded(pkgs []*Package) (*guardTable, []Diagnostic) {
-	g := &guardTable{
-		fields: make(map[string]string),
-		vars:   make(map[types.Object]types.Object),
-	}
+// annotate records one //myproxy:guardedby annotation (args are the words
+// after the marker) on a struct field or package variables. Malformed
+// annotations — no target, an unknown sibling, a non-mutex — are reported
+// as "pragma" diagnostics, like other pragma misuse.
+func (g *guardTable) annotate(tgt markTarget, args []string, pos token.Pos) []Diagnostic {
+	pkg := tgt.pkg
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			collectGuardedFile(pkg, file, g, &diags)
+	bad := func(format string, a ...interface{}) {
+		diags = append(diags, pkg.diag("pragma", pos, format, a...))
+	}
+	if tgt.field != nil {
+		var muField *ast.Field
+		if len(args) == 1 {
+			muField = structFieldNamed(tgt.st, args[0])
+		}
+		tv, typed := types.TypeAndValue{}, false
+		if muField != nil {
+			tv, typed = pkg.Info.Types[muField.Type]
+		}
+		switch {
+		case len(args) != 1:
+			bad("malformed annotation: want //myproxy:guardedby <sibling-mutex-field>")
+		case muField == nil:
+			bad("guardedby names %q, which is not a field of struct %s", args[0], tgt.ts.Name.Name)
+		case !typed || !isMutexType(tv.Type):
+			bad("guardedby names %q, which is not a sync.Mutex or sync.RWMutex", args[0])
+		default:
+			for _, name := range tgt.field.Names {
+				g.fields[pkg.Types.Path()+"."+tgt.ts.Name.Name+"."+name.Name] = args[0]
+			}
 		}
 	}
-	return g, diags
-}
-
-func collectGuardedFile(pkg *Package, file *ast.File, g *guardTable, diags *[]Diagnostic) {
-	pkgPath := pkg.Types.Path()
-	ast.Inspect(file, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok {
-			return true
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return true
-		}
-		for _, field := range st.Fields.List {
-			muName, pos, ok := guardAnnotation(field.Doc, field.Comment)
-			if !ok {
-				continue
-			}
-			if muName == "" {
-				*diags = append(*diags, pkg.diag("pragma", pos,
-					"malformed annotation: want //myproxy:guardedby <sibling-mutex-field>"))
-				continue
-			}
-			muField := structFieldNamed(st, muName)
-			if muField == nil {
-				*diags = append(*diags, pkg.diag("pragma", pos,
-					"guardedby names %q, which is not a field of struct %s", muName, ts.Name.Name))
-				continue
-			}
-			tv, typed := pkg.Info.Types[muField.Type]
-			if !typed || !isMutexType(tv.Type) {
-				*diags = append(*diags, pkg.diag("pragma", pos,
-					"guardedby names %q, which is not a sync.Mutex or sync.RWMutex", muName))
-				continue
-			}
-			for _, name := range field.Names {
-				g.fields[pkgPath+"."+ts.Name.Name+"."+name.Name] = muName
-			}
-		}
-		return true
-	})
-
 	// Package-level variables: the annotation names a package-level mutex.
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			continue
+	for _, vs := range tgt.vars {
+		var muObj types.Object
+		if len(args) == 1 {
+			muObj = pkg.Types.Scope().Lookup(args[0])
 		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			muName, pos, found := guardAnnotation(gd.Doc, vs.Doc, vs.Comment)
-			if !found {
-				continue
-			}
-			if muName == "" {
-				*diags = append(*diags, pkg.diag("pragma", pos,
-					"malformed annotation: want //myproxy:guardedby <package-mutex-var>"))
-				continue
-			}
-			muObj := pkg.Types.Scope().Lookup(muName)
-			if muObj == nil {
-				*diags = append(*diags, pkg.diag("pragma", pos,
-					"guardedby names %q, which is not a package-level variable here", muName))
-				continue
-			}
-			if !isMutexType(muObj.Type()) {
-				*diags = append(*diags, pkg.diag("pragma", pos,
-					"guardedby names %q, which is not a sync.Mutex or sync.RWMutex", muName))
-				continue
-			}
+		switch {
+		case len(args) != 1:
+			bad("malformed annotation: want //myproxy:guardedby <package-mutex-var>")
+		case muObj == nil:
+			bad("guardedby names %q, which is not a package-level variable here", args[0])
+		case !isMutexType(muObj.Type()):
+			bad("guardedby names %q, which is not a sync.Mutex or sync.RWMutex", args[0])
+		default:
 			for _, name := range vs.Names {
 				if obj := pkg.Info.Defs[name]; obj != nil {
 					g.vars[obj] = muObj
@@ -151,28 +107,7 @@ func collectGuardedFile(pkg *Package, file *ast.File, g *guardTable, diags *[]Di
 			}
 		}
 	}
-}
-
-// guardAnnotation scans comment groups for a //myproxy:guardedby line and
-// returns its single argument ("" when the argument is missing or extra).
-func guardAnnotation(groups ...*ast.CommentGroup) (muName string, pos token.Pos, found bool) {
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(c.Text)
-			if !strings.HasPrefix(text, guardedbyMarker) {
-				continue
-			}
-			args := strings.Fields(strings.TrimPrefix(text, guardedbyMarker))
-			if len(args) != 1 {
-				return "", c.Pos(), true
-			}
-			return args[0], c.Pos(), true
-		}
-	}
-	return "", token.NoPos, false
+	return diags
 }
 
 func structFieldNamed(st *ast.StructType, name string) *ast.Field {
@@ -218,7 +153,7 @@ func guardedScan(ctx *Context, t summaryTable, pkg *Package, name string, body *
 	}
 	cfg := ctx.cfgOf(pkg, name, body)
 	fresh := freshLocals(pkg, body)
-	runLockFlow(pkg, cfg, func(n ast.Node, ls lockSet) {
+	solveFlow(cfg, make(lockSet), lockFlow(pkg, func(n ast.Node, ls lockSet) {
 		root := shallowRoot(n)
 		if root == nil {
 			return
@@ -264,7 +199,7 @@ func guardedScan(ctx *Context, t summaryTable, pkg *Package, name string, body *
 				})
 			}
 		})
-	})
+	}))
 }
 
 // guardProven reports whether the mutex is provably held: writes need the
@@ -495,53 +430,23 @@ func runGuardedBy(ctx *Context, pkg *Package) []Diagnostic {
 			"%s, which is guarded by %s; no path proves the lock held — lock it or move the access under the existing critical section",
 			h.what, h.muLabel))
 	}
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			recv := receiverObj(pkg, fd)
-			fname := fd.Name.Name
-			if fd.Recv != nil && len(fd.Recv.List) > 0 {
-				fname = recvString(fd.Recv.List[0].Type) + "." + fname
-			}
-			guardedScan(ctx, ctx.Summaries, pkg, fname, fd.Body, func(h guardedHit) {
-				// An unproven access through the method's own receiver is the
-				// *callers'* obligation: buildSummaries recorded it as a
-				// requiresLock entry, and every call site checks it instead.
-				if recv != nil && h.root == recv {
-					return
-				}
-				report(h)
-			})
-			litIdx := 0
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				lit, ok := n.(*ast.FuncLit)
-				if !ok {
-					return true
-				}
-				litIdx++
-				// A literal may run as its own goroutine: receiver-based
-				// accesses cannot be deferred to call sites — report them.
-				guardedScan(ctx, ctx.Summaries, pkg, fname+"$"+itoa(litIdx), lit.Body, report)
-				return true
-			})
+	funcBodies(pkg, func(fb funcBody) {
+		fd, isDecl := fb.fn.(*ast.FuncDecl)
+		if !isDecl {
+			// A literal may run as its own goroutine: receiver-based
+			// accesses cannot be deferred to call sites — report them.
+			guardedScan(ctx, ctx.Summaries, pkg, fb.name, fb.body, report)
+			return
 		}
-	}
+		recv := receiverObj(pkg, fd)
+		guardedScan(ctx, ctx.Summaries, pkg, fb.name, fb.body, func(h guardedHit) {
+			// An unproven access through the method's own receiver is the
+			// *callers'* obligation: the summary sweep recorded it as a
+			// requiresLock entry, and every call site checks it instead.
+			if recv == nil || h.root != recv {
+				report(h)
+			}
+		})
+	})
 	return diags
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	n := len(buf)
-	for i > 0 {
-		n--
-		buf[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[n:])
 }

@@ -48,8 +48,10 @@ func runHotAlloc(ctx *Context, pkg *Package) []Diagnostic {
 		return nil
 	}
 	var diags []Diagnostic
-	hotBodies(ctx, pkg, func(key string, fn ast.Node, body *ast.BlockStmt) {
-		diags = append(diags, hotAllocBody(ctx, pkg, key, fn, body)...)
+	funcBodies(pkg, func(fb funcBody) {
+		if ctx.HotCone[fb.key] {
+			diags = append(diags, hotAllocBody(ctx, pkg, fb.key, fb.fn, fb.body)...)
+		}
 	})
 	return diags
 }
@@ -73,7 +75,7 @@ func hotAllocBody(ctx *Context, pkg *Package, key string, fn ast.Node, body *ast
 		}
 		switch n.(type) {
 		case *ast.FuncLit:
-			// A literal's body is its own cone visit (hotBodies); don't
+			// A literal's body is its own cone visit (funcBodies); don't
 			// attribute its allocations to the creator.
 			return false
 		case *ast.ForStmt, *ast.RangeStmt:

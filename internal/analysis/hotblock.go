@@ -14,7 +14,7 @@ import (
 //
 // The costly-work relation is interprocedural: hotCostlySeeds names the
 // stdlib and repository leaf operations that block or burn CPU, and
-// computeHotCostly (hotpath.go) closes the set over the call graph, so
+// deriveCostly (hotpath.go) closes the set over the call graph, so
 // calling a wrapper that eventually does network I/O is as much a finding as
 // the I/O itself. Lock state comes from PR 5's lock lattice (lock.go) — the
 // finding fires only when a mutex is must-held at the call, keeping branchy
@@ -29,7 +29,7 @@ var HotBlock = &Pass{
 }
 
 // hotCostlySeeds maps qualified function keys to a short description of the
-// blocking/costly work they perform. computeHotCostly propagates these up
+// blocking/costly work they perform. deriveCostly propagates these up
 // the call graph: a function is costly when it is a seed or may call one.
 // Interface-method keys ((io.Writer).Write) cover dispatch sites whose
 // static type is the interface; the concrete counterparts are listed too.
@@ -67,13 +67,11 @@ func runHotBlock(ctx *Context, pkg *Package) []Diagnostic {
 	if len(ctx.HotCone) == 0 {
 		return nil
 	}
-	deferred := deferredLitBodies(pkg)
 	var diags []Diagnostic
-	hotBodies(ctx, pkg, func(key string, fn ast.Node, body *ast.BlockStmt) {
-		if deferred[body] {
-			return
+	funcBodies(pkg, func(fb funcBody) {
+		if ctx.HotCone[fb.key] && !fb.deferred {
+			diags = append(diags, hotBlockBody(ctx, pkg, fb.key, fb.body)...)
 		}
-		diags = append(diags, hotBlockBody(ctx, pkg, key, body)...)
 	})
 	return diags
 }
@@ -84,7 +82,7 @@ func hotBlockBody(ctx *Context, pkg *Package, key string, body *ast.BlockStmt) [
 	short := shortFuncKey(key)
 	reported := make(map[token.Pos]bool)
 
-	runLockFlow(pkg, cfg, func(n ast.Node, ls lockSet) {
+	solveFlow(cfg, make(lockSet), lockFlow(pkg, func(n ast.Node, ls lockSet) {
 		applyCalls(pkg, n, func(call *ast.CallExpr) {
 			if reported[call.Pos()] {
 				return
@@ -123,6 +121,6 @@ func hotBlockBody(ctx *Context, pkg *Package, key string, body *ast.BlockStmt) [
 					mu.name, shortCallee(fn), work, short))
 			}
 		})
-	})
+	}))
 	return diags
 }

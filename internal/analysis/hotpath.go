@@ -1,12 +1,5 @@
 package analysis
 
-import (
-	"fmt"
-	"go/ast"
-	"go/types"
-	"sort"
-)
-
 // Hot-cone computation. The performance passes (hotalloc, hotblock) only
 // make sense on the code the paper's Figure 2 loop actually executes:
 // authenticate, unseal, delegate. That path is named in source with a
@@ -23,127 +16,51 @@ import (
 // interface seam (the core handlers AND keypool.Get, proxy.VerifyCache,
 // credstore.UnsealDelegated, the gsi framing layer) rather than trusting
 // reachability to cross it.
-const hotpathMarker = "//myproxy:hotpath"
 
 // collectHotCone fills ctx.HotCone with the qualified keys reachable from
-// //myproxy:hotpath-annotated declarations, and ctx.HotCostly with the
-// blocking/costly-work closure the hotblock pass consults. Requires
-// ctx.FuncDecls and ctx.CallGraph (i.e. runs after buildSummaries).
-func collectHotCone(ctx *Context, pkgs []*Package) {
+// //myproxy:hotpath-annotated declarations. Requires ctx.CallGraph (i.e.
+// runs after buildSummaries).
+func collectHotCone(ctx *Context) {
 	ctx.HotCone = make(map[string]bool)
-	var frontier []string
-	for key, d := range ctx.FuncDecls {
-		if docHasMarker(hotpathMarker, d.fd.Doc) {
-			ctx.HotCone[key] = true
-			frontier = append(frontier, key)
+	var visit func(key string)
+	visit = func(key string) {
+		if ctx.HotCone[key] {
+			return
 		}
-	}
-	sort.Strings(frontier)
-	for len(frontier) > 0 {
-		k := frontier[0]
-		frontier = frontier[1:]
-		n := ctx.CallGraph.Nodes[k]
-		if n == nil {
-			continue
-		}
-		callees := make([]string, 0, len(n.Callees))
-		for c := range n.Callees {
-			callees = append(callees, c)
-		}
-		sort.Strings(callees)
-		for _, c := range callees {
-			if !ctx.HotCone[c] {
-				ctx.HotCone[c] = true
-				frontier = append(frontier, c)
-			}
-		}
-	}
-	computeHotCostly(ctx)
-}
-
-// computeHotCostly closes the costly-work seed set over the call graph: a
-// function is costly when it is a seed or any of its callees is costly. The
-// description propagated is the lexicographically smallest one reachable,
-// which makes the fixpoint deterministic regardless of map iteration order.
-func computeHotCostly(ctx *Context) {
-	ctx.HotCostly = make(map[string]string)
-	for k, desc := range hotCostlySeeds {
-		if _, ok := ctx.CallGraph.Nodes[k]; ok {
-			ctx.HotCostly[k] = desc
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for k, n := range ctx.CallGraph.Nodes {
-			if _, seeded := hotCostlySeeds[k]; seeded {
-				continue // a seed keeps its own description
-			}
-			best := ctx.HotCostly[k]
+		ctx.HotCone[key] = true
+		if n := ctx.CallGraph.Nodes[key]; n != nil {
 			for c := range n.Callees {
-				if c == k {
-					continue
-				}
-				d := ctx.HotCostly[c]
-				if d == "" {
-					continue
-				}
-				if best == "" || d < best {
-					best = d
-				}
-			}
-			if best != "" && best != ctx.HotCostly[k] {
-				ctx.HotCostly[k] = best
-				changed = true
+				visit(c)
 			}
 		}
 	}
+	for key := range ctx.markers.hotRoots {
+		visit(key)
+	}
 }
 
-// hotBodies visits every declared function and function literal of pkg whose
-// qualified key is in the hot cone. fn is the *ast.FuncDecl or *ast.FuncLit
-// owning the body, so callers can compute escape facts over the whole
-// function (parameters included).
-func hotBodies(ctx *Context, pkg *Package, visit func(key string, fn ast.Node, body *ast.BlockStmt)) {
-	if len(ctx.HotCone) == 0 {
-		return
+// deriveCostly recomputes one call-graph node's entry in ctx.HotCostly, the
+// costly-work closure hotblock consults, reporting whether it changed: a
+// seed keeps its own description, and any other node is costly when a
+// callee is, taking the lexicographically smallest description among its
+// callees — deterministic regardless of map iteration order. The summary
+// sweep (interproc.go) calls it bottom-up over the call graph.
+func deriveCostly(ctx *Context, key string) bool {
+	if desc, seeded := hotCostlySeeds[key]; seeded {
+		ctx.HotCostly[key] = desc
+		return false
 	}
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			key := declKeyOf(pkg, fd)
-			if key == "" {
-				continue
-			}
-			if ctx.HotCone[key] {
-				visit(key, fd, fd.Body)
-			}
-			// Literals are numbered in preorder across the declaration,
-			// matching addCallEdges and funcBodies.
-			litIdx := 0
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					litIdx++
-					lk := fmt.Sprintf("%s$%d", key, litIdx)
-					if ctx.HotCone[lk] {
-						visit(lk, fl, fl.Body)
-					}
-				}
-				return true
-			})
+	best := ctx.HotCostly[key]
+	for c := range ctx.CallGraph.Nodes[key].Callees {
+		if d := ctx.HotCostly[c]; d != "" && c != key && (best == "" || d < best) {
+			best = d
 		}
 	}
-}
-
-// declKeyOf renders the qualified key of a declaration in pkg, or "".
-func declKeyOf(pkg *Package, fd *ast.FuncDecl) string {
-	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return ""
+	if best == ctx.HotCostly[key] {
+		return false
 	}
-	return funcKey(fn)
+	ctx.HotCostly[key] = best
+	return true
 }
 
 // shortFuncKey compacts a qualified key for diagnostics:

@@ -5,23 +5,25 @@ import (
 	"go/types"
 )
 
-// Interprocedural summary computation. PR 4's summary table was built with
-// hand-rolled global fixpoints ("loop over every declaration until nothing
-// changes", "run parameter fates twice so one summary hop is visible"),
-// which caps obligation propagation at the iteration count and re-scans the
-// whole load per round. This layer replaces that with the classic bottom-up
-// scheme: build the call graph (callgraph.go), order its strongly connected
-// components callees-first, and compute each function's summary after its
-// callees' summaries are final. Non-recursive code — almost everything —
-// is summarized in a single visit regardless of wrapper depth; fixpoint
-// iteration is confined to components that actually recurse.
+// Interprocedural summary computation: one bottom-up sweep. Build the call
+// graph (callgraph.go), order its strongly connected components
+// callees-first, and derive each function's summary after its callees'
+// summaries are final. Non-recursive code — almost everything — is
+// summarized in a single visit regardless of wrapper depth; fixpoint
+// iteration is confined to components that actually recurse. Every derived
+// fact is computed here, by updateSummary, and nowhere else:
 //
-// The facts propagated across call boundaries are the dataflow passes'
-// obligations: connection ownership (acquiresConn / closesParam /
-// leakOnError), secret taint (secretResult, wipesParam), deadline arming
-// (armsResult, freshConn), retry-safety marking (retryMarks, consumed by
-// the retrysafe pass), and — via computeLockSummaries, which consumes the
-// same bottom-up order — lock acquisition and lock-requirement facts.
+//   - the dataflow passes' obligations: connection ownership (acquiresConn
+//     / closesParam / leakOnError), secret taint (secretResult,
+//     wipesParam), deadline arming (armsResult, freshConn) and noReturn;
+//   - retry-safety marking (retryMarks, consumed by the retrysafe pass);
+//   - lock acquisition and lock-requirement facts (locksFields,
+//     requiresLock; lock.go);
+//   - the trust-boundary taint facts (taintsReturn, taintProp, taintsBuf,
+//     taintSinks, validates; taint.go), which also memoize each
+//     declaration's sink findings;
+//   - and, for every call-graph node, the costly-work closure hotblock
+//     consults (hotpath.go).
 //
 // The only remaining seeds (seedSummaries) are the standard-library
 // primitive frontier: net.Dial, os.Open, the DER marshalers and friends
@@ -77,45 +79,56 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 	decls := collectDecls(ctx, pkgs)
 	ctx.CallGraph = buildCallGraph(decls)
 
-	// Trust-boundary taint markers: the untrusted-type set feeds the taint
-	// lattice's by-type ambient rule; the function markers seed summaries
-	// before the bottom-up taint sweep at the end of this build.
-	untrustedTypes, untrustedFns, sanitizeFns := collectTaintMarkers(pkgs)
-	ctx.UntrustedTypes = untrustedTypes
-
 	// Marker-derived facts need no propagation order: secretResult from
-	// //myproxy:secret doc markers, armsResult from deadline-arming bodies.
+	// //myproxy:secret doc markers, armsResult from deadline-arming bodies,
+	// and the taint frontier — //myproxy:untrusted functions and interface
+	// methods taint their results, //myproxy:sanitizes functions launder
+	// theirs (or, validator-shaped, prove their string arguments clean).
 	for _, d := range decls {
-		if typeDocHasMarker(d.fd.Doc) && hasByteSliceResult(d.fn) {
+		if ctx.markers.secretFns[d.key] && hasByteSliceResult(d.fn) {
 			t.get(d.key).secretResult = true
 		}
-		if armsDeadline(d.pkg, d.fd.Body) {
+		if armsDeadline(d.pkg, d.fd.Body, nil) {
 			t.get(d.key).armsResult = true
 		}
 	}
+	for key := range ctx.markers.untrustedFns {
+		s := t.get(key)
+		s.taintKnown, s.taintsReturn = true, true
+	}
+	for key := range ctx.markers.sanitizes {
+		s := t.get(key)
+		s.taintKnown = true
+		if d, ok := ctx.FuncDecls[key]; ok && validatorShape(d.fn) {
+			sig := d.fn.Type().(*types.Signature)
+			s.validates = make(map[int]bool)
+			for i := 0; i < sig.Params().Len(); i++ {
+				if stringish(sig.Params().At(i).Type()) {
+					s.validates[i] = true
+				}
+			}
+		} else {
+			s.sanitizes = true
+		}
+	}
+	ctx.taintFacts = make(map[*ast.BlockStmt][]taintFinding)
 
 	// Bottom-up sweep: callees before callers; iterate only inside
-	// recursive components.
-	ordered := make([]declSite, 0, len(decls))
+	// recursive components. Every node's costly-work closure (hotpath.go)
+	// rides the same order; declarations also derive their summaries.
+	ctx.HotCostly = make(map[string]string)
 	for _, comp := range ctx.CallGraph.SCCs {
-		var members []declSite
-		for _, key := range comp {
-			if d, ok := ctx.FuncDecls[key]; ok {
-				members = append(members, d)
-			}
+		rounds := 1
+		if sccIsRecursive(ctx.CallGraph, comp) {
+			rounds = maxSCCRounds
 		}
-		if len(members) == 0 {
-			continue
-		}
-		ordered = append(ordered, members...)
-		if !sccIsRecursive(ctx.CallGraph, comp) {
-			updateSummary(ctx, t, members[0])
-			continue
-		}
-		for round := 0; round < maxSCCRounds; round++ {
+		for round := 0; round < rounds; round++ {
 			changed := false
-			for _, d := range members {
-				if updateSummary(ctx, t, d) {
+			for _, key := range comp {
+				if deriveCostly(ctx, key) {
+					changed = true
+				}
+				if d, ok := ctx.FuncDecls[key]; ok && updateSummary(ctx, t, d) {
 					changed = true
 				}
 			}
@@ -124,17 +137,6 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 			}
 		}
 	}
-
-	// Lock acquisition / requirement facts run their own fixpoint (the
-	// guardedby obligations flow caller-ward, against the summary
-	// direction); feeding it the bottom-up order makes it settle in one
-	// round plus a verification pass for non-recursive code.
-	computeLockSummaries(ctx, t, ordered)
-
-	// Taint summaries run last: they consult the finished obligation and
-	// noReturn facts through the memoized CFGs, and they memoize each body's
-	// sink findings for the four taint passes (see taint.go).
-	computeTaintSummaries(ctx, t, ordered, untrustedFns, sanitizeFns)
 	return t
 }
 
@@ -205,6 +207,18 @@ func updateSummary(ctx *Context, t summaryTable, d declSite) bool {
 	// or safety gate is one of this function's parameters (the retrysafe
 	// pass flags the fully-constant sites directly; see retrysafe.go).
 	if deriveRetryMarks(d.pkg, t, d) {
+		changed = true
+	}
+
+	// locksFields / requiresLock: the mutexes a method acquires and the
+	// guarded state its callers must lock for it (lock.go).
+	if deriveLockFacts(ctx, t, d) {
+		changed = true
+	}
+
+	// Trust-boundary taint facts, last: they flow the body through its CFG
+	// against the callees' final facts and memoize its sink findings.
+	if deriveTaintFacts(ctx, t, d) {
 		changed = true
 	}
 	return changed

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -116,47 +117,21 @@ func syncLockCall(pkg *Package, call *ast.CallExpr) (lockRef, lockOp, bool) {
 // sync.RWMutex (including their promoted forms on embedding structs).
 func isSyncMutexMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	named := namedOf(sig.Recv().Type())
-	if named == nil || named.Obj().Pkg() == nil {
-		return false
-	}
-	if named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	name := named.Obj().Name()
-	return name == "Mutex" || name == "RWMutex"
+	return ok && sig.Recv() != nil && isMutexType(sig.Recv().Type())
 }
 
 // isMutexType reports whether t (or *t) is sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		return isMutexType(ptr.Elem())
-	}
-	named := namedOf(t)
-	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	name := named.Obj().Name()
-	return name == "Mutex" || name == "RWMutex"
-}
+func isMutexType(t types.Type) bool { return isSyncType(t, "Mutex", "RWMutex") }
 
-// isRWMutexType reports whether t (or *t) is sync.RWMutex.
-func isRWMutexType(t types.Type) bool {
+// isSyncType reports whether t, behind any pointers, is one of the named
+// sync package types.
+func isSyncType(t types.Type, names ...string) bool {
 	if t == nil {
 		return false
 	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		return isRWMutexType(ptr.Elem())
-	}
 	named := namedOf(t)
-	return named != nil && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "RWMutex"
+	return named != nil && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync" &&
+		slices.Contains(names, named.Obj().Name())
 }
 
 // lockInfo is the per-mutex lattice element. The analysis tracks both
@@ -197,18 +172,6 @@ func (ls lockSet) clone() lockSet {
 		out[k] = v
 	}
 	return out
-}
-
-func (ls lockSet) equal(other lockSet) bool {
-	if len(ls) != len(other) {
-		return false
-	}
-	for k, v := range ls {
-		if o, ok := other[k]; !ok || o != v {
-			return false
-		}
-	}
-	return true
 }
 
 // joinLock merges two path states: may-union, must-intersection.
@@ -277,57 +240,37 @@ func lockTransfer(pkg *Package, n ast.Node, ls lockSet) {
 			return
 		}
 		key := ref.key()
+		info := ls[key]
 		switch op {
 		case opLock:
-			info := ls[key]
 			info.wmay, info.wmust = true, true
 			info.leakMay = info.leakMay || !info.defMust
-			if info.pos == token.NoPos {
-				info.pos, info.name = call.Pos(), ref.name
-			}
-			ls[key] = info
 		case opRLock:
-			info := ls[key]
 			info.rmay, info.rmust = true, true
 			info.leakMay = info.leakMay || !info.defMust
-			if info.pos == token.NoPos {
-				info.pos, info.name = call.Pos(), ref.name
-			}
-			ls[key] = info
 		case opTryLock:
 			// TryLock may fail; the result-conditioned held state is beyond
 			// this lattice. Record may-held only (keeps Unlock matched),
 			// never must-held (guardedby will not credit it) and never a
 			// leak (the failure path holds nothing).
-			info := ls[key]
 			info.wmay = true
-			if info.pos == token.NoPos {
-				info.pos, info.name = call.Pos(), ref.name
-			}
-			ls[key] = info
 		case opUnlock:
-			info := ls[key]
 			info.wmay, info.wmust = false, false
-			if !info.held() {
-				info.leakMay = false
-			}
-			if info.zero() {
-				delete(ls, key)
-			} else {
-				ls[key] = info
-			}
 		case opRUnlock:
-			info := ls[key]
 			info.rmay, info.rmust = false, false
+		}
+		if op == opUnlock || op == opRUnlock {
 			if !info.held() {
 				info.leakMay = false
 			}
 			if info.zero() {
 				delete(ls, key)
-			} else {
-				ls[key] = info
+				return
 			}
+		} else if info.pos == token.NoPos {
+			info.pos, info.name = call.Pos(), ref.name
 		}
+		ls[key] = info
 	})
 }
 
@@ -353,158 +296,84 @@ func deferredUnlocks(pkg *Package, d *ast.DeferStmt) []lockRef {
 	return refs
 }
 
-// runLockFlow iterates the lock lattice to a fixpoint over the CFG and then
-// replays each reachable block once, invoking observe with the state holding
-// *before* each node.
+// lockFlow is the lock lattice's solver spec; observe sees the state
+// holding before each node of the blocks the entry reaches.
 //
 // Because the must bits are an intersection, initialization matters: only
 // the entry block starts with a real state (nothing held), and the first
-// edge into a block *copies* the predecessor's out-state instead of joining
-// it — joining against a default "nothing held" would kill the must bits of
-// every block that has not been reached yet, making a lock provably held
-// only within the basic block that acquired it. Blocks never reached from
-// the entry (code after a terminating call) keep no state and are skipped
-// in the replay.
-func runLockFlow(pkg *Package, cfg *CFG, observe func(n ast.Node, ls lockSet)) {
-	in := make([]lockSet, len(cfg.Blocks))
-	seen := make([]bool, len(cfg.Blocks))
-	queued := make([]bool, len(cfg.Blocks))
-	in[cfg.Entry.Index] = make(lockSet)
-	seen[cfg.Entry.Index] = true
-	queued[cfg.Entry.Index] = true
-	work := []*Block{cfg.Entry}
-	for iter := 0; len(work) > 0; iter++ {
-		if iter > 100000 {
-			break // defensive: the lattice is finite
-		}
-		blk := work[0]
-		work = work[1:]
-		queued[blk.Index] = false
-		out := in[blk.Index].clone()
-		for _, n := range blk.Nodes {
-			lockTransfer(pkg, n, out)
-		}
-		for _, e := range blk.Succs {
-			to := e.To.Index
-			changed := false
-			if !seen[to] {
-				in[to] = out.clone()
-				seen[to] = true
-				changed = true
-			} else {
-				changed = in[to].join(out)
-			}
-			if changed && !queued[to] {
-				work = append(work, e.To)
-				queued[to] = true
-			}
-		}
-	}
-	if observe != nil {
-		for _, blk := range cfg.Blocks {
-			if !seen[blk.Index] {
-				continue
-			}
-			ls := in[blk.Index].clone()
-			for _, n := range blk.Nodes {
-				observe(n, ls)
-				lockTransfer(pkg, n, ls)
-			}
-		}
+// edge into a block copies the predecessor's out-state instead of joining
+// it (flowSpec.bottom is nil). Blocks never reached from the entry (code
+// after a terminating call) keep no state and are skipped in the replay.
+func lockFlow(pkg *Package, observe func(n ast.Node, ls lockSet)) flowSpec[lockSet] {
+	return flowSpec[lockSet]{
+		clone: lockSet.clone,
+		join:  func(dst, src lockSet) (lockSet, bool) { return dst, dst.join(src) },
+		transfer: func(n ast.Node, ls lockSet) lockSet {
+			lockTransfer(pkg, n, ls)
+			return ls
+		},
+		observe: observe,
 	}
 }
 
-// computeLockSummaries fills the two concurrency facts of the summary
-// table. locksFields is syntactic: mutex fields of the receiver that the
-// method acquires (propagated through same-receiver helper calls), feeding
-// lockcheck's interprocedural self-deadlock rule. requiresLock runs the
-// guarded-access scan (see guardedby.go) over every method: unproven
-// accesses through the receiver become caller obligations, iterated to a
-// fixpoint so helpers calling helpers hand the obligation all the way out.
-func computeLockSummaries(ctx *Context, t summaryTable, decls []declSite) {
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			recv := receiverObj(d.pkg, d.fd)
-			if recv == nil {
-				continue
-			}
-			s := t.get(d.key)
-			merge := func(path string, write bool) {
-				cur, ok := s.locksFields[path]
-				if ok && (cur || !write) {
-					return
-				}
-				if s.locksFields == nil {
-					s.locksFields = make(map[string]bool)
-				}
-				s.locksFields[path] = cur || write
-				changed = true
-			}
-			ast.Inspect(d.fd.Body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false // may run on another goroutine
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if ref, op, ok := syncLockCall(d.pkg, call); ok && ref.root == recv {
-					switch op {
-					case opLock:
-						merge(strings.Join(ref.fields, "."), true)
-					case opRLock:
-						merge(strings.Join(ref.fields, "."), false)
-					}
-					// TryLock is excluded: it fails gracefully instead of
-					// deadlocking when the caller already holds the mutex.
-					return true
-				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				base, ok := resolvePath(d.pkg, sel.X)
-				if !ok || base.root != recv {
-					return true
-				}
-				if sum := t.of(calleeFunc(d.pkg, call)); sum != nil {
-					for p, w := range sum.locksFields {
-						merge(joinPath(base.fields, p), w)
-					}
-				}
-				return true
-			})
+// deriveLockFacts recomputes a method's two concurrency facts from its
+// body, reporting whether either grew. locksFields is syntactic: mutex
+// fields of the receiver the method acquires (directly or through a
+// same-receiver helper's summary), feeding lockcheck's interprocedural
+// self-deadlock rule. requiresLock runs the guarded-access scan (see
+// guardedby.go): unproven accesses through the receiver, and calls to
+// helpers that require a lock, become the callers' obligation.
+func deriveLockFacts(ctx *Context, t summaryTable, d declSite) bool {
+	recv := receiverObj(d.pkg, d.fd)
+	if recv == nil {
+		return false
+	}
+	s := t.get(d.key)
+	changed := false
+	merge := func(m *map[string]bool, path string, write bool) {
+		cur, ok := (*m)[path]
+		if ok && (cur || !write) {
+			return
 		}
-	}
-
-	if ctx.Guarded.empty() {
-		return
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			recv := receiverObj(d.pkg, d.fd)
-			if recv == nil {
-				continue
-			}
-			s := t.get(d.key)
-			guardedScan(ctx, t, d.pkg, d.key, d.fd.Body, func(h guardedHit) {
-				if h.root != recv {
-					return
-				}
-				cur, ok := s.requiresLock[h.mpath]
-				if ok && (cur || !h.write) {
-					return
-				}
-				if s.requiresLock == nil {
-					s.requiresLock = make(map[string]bool)
-				}
-				s.requiresLock[h.mpath] = cur || h.write
-				changed = true
-			})
+		if *m == nil {
+			*m = make(map[string]bool)
 		}
+		(*m)[path] = cur || write
+		changed = true
 	}
+	ast.Inspect(d.fd.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false // may run on another goroutine
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if ref, op, ok := syncLockCall(d.pkg, call); ok && ref.root == recv {
+			// TryLock is excluded: it fails gracefully instead of
+			// deadlocking when the caller already holds the mutex.
+			if op == opLock || op == opRLock {
+				merge(&s.locksFields, strings.Join(ref.fields, "."), op == opLock)
+			}
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if base, ok := resolvePath(d.pkg, sel.X); ok && base.root == recv {
+			for p, w := range t.of(calleeFunc(d.pkg, call)).locks() {
+				merge(&s.locksFields, joinPath(base.fields, p), w)
+			}
+		}
+		return true
+	})
+	guardedScan(ctx, t, d.pkg, d.key, d.fd.Body, func(h guardedHit) {
+		if h.root == recv {
+			merge(&s.requiresLock, h.mpath, h.write)
+		}
+	})
+	return changed
 }
 
 // receiverObj returns the declared receiver variable of a method, or nil.
@@ -515,21 +384,21 @@ func receiverObj(pkg *Package, fd *ast.FuncDecl) types.Object {
 	return pkg.Info.Defs[fd.Recv.List[0].Names[0]]
 }
 
-// selectCommStmts collects the communication statements of every select in
-// the body. The CFG lowers a CommClause's comm into its case block like any
-// statement; lockcheck must not treat those as bare blocking channel
-// operations (a select is the idiomatic escape hatch — it typically carries
-// a quit case or default).
-func selectCommStmts(body *ast.BlockStmt) map[ast.Node]bool {
+// selectComms collects the communication statements of every select in
+// the body that has at least minArms clauses (a default counts). The CFG
+// lowers a CommClause's comm into its case block like any statement; a
+// select is the idiomatic escape hatch (it typically carries a quit case or
+// default), so lockcheck and wgbalance exempt every select communication
+// (minArms 1), and goroleak treats those of multi-way selects (minArms 2)
+// as abandonable.
+func selectComms(body *ast.BlockStmt, minArms int) map[ast.Node]bool {
 	comms := make(map[ast.Node]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-				comms[cc.Comm] = true
+		if sel, ok := n.(*ast.SelectStmt); ok && len(sel.Body.List) >= minArms {
+			for _, c := range sel.Body.List {
+				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+					comms[cc.Comm] = true
+				}
 			}
 		}
 		return true

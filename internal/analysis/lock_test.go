@@ -309,3 +309,29 @@ func TestCFGSelectBreak(t *testing.T) {
 		t.Fatal("break inside select escaped the select: n++ is unreachable")
 	}
 }
+
+// TestLockFlowUnreachableAndLoops pins the lock solver's seeding: blocks no
+// path from the entry reaches (after panic) are never observed — an Unlock
+// there is not an unmatched unlock — and a lock taken inside a loop body is
+// seen as may-held at the header only after the back edge (second visit),
+// which is what makes the leak at the return after the loop a finding.
+func TestLockFlowUnreachableAndLoops(t *testing.T) {
+	unreachable := `func f(mu *sync.Mutex) {
+		mu.Lock()
+		panic("boom")
+		mu.Unlock()
+	}`
+	if diags := lockDiags(t, unreachable, "f"); len(diags) != 0 {
+		t.Errorf("code after panic must not be observed, got:\n%s", renderLockDiags(diags))
+	}
+
+	loop := `func f(mu *sync.Mutex, n int) {
+		for i := 0; i < n; i++ {
+			mu.Lock()
+		}
+	}`
+	diags := lockDiags(t, loop, "f")
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "still locked when f returns") {
+		t.Errorf("lock leaked around a loop must be reported once (and no double-lock), got:\n%s", renderLockDiags(diags))
+	}
+}

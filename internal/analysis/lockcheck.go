@@ -37,49 +37,28 @@ var LockCheck = &Pass{
 }
 
 func runLockCheck(ctx *Context, pkg *Package) []Diagnostic {
-	deferred := deferredLitBodies(pkg)
 	var diags []Diagnostic
-	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
-		if deferred[body] {
-			return
+	funcBodies(pkg, func(fb funcBody) {
+		// An immediately deferred literal runs at return time under the
+		// enclosing function's locks — whose own flow already credits its
+		// unlocks via deferredUnlocks — so analyzing it as an independent
+		// zero-state body would misreport those unlocks as unmatched.
+		if !fb.deferred {
+			diags = append(diags, lockCheckBody(ctx, pkg, fb.name, fb.body)...)
 		}
-		diags = append(diags, lockCheckBody(ctx, pkg, name, body)...)
 	})
 	return diags
-}
-
-// deferredLitBodies collects the bodies of immediately deferred function
-// literals (`defer func() { ... }()`). They run at return time under
-// whatever locks the enclosing function still holds — the enclosing body's
-// own flow already credits their unlocks via deferredUnlocks — so analyzing
-// them as independent zero-state bodies would misreport those unlocks as
-// unmatched.
-func deferredLitBodies(pkg *Package) map[*ast.BlockStmt]bool {
-	out := make(map[*ast.BlockStmt]bool)
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			d, ok := n.(*ast.DeferStmt)
-			if !ok {
-				return true
-			}
-			if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-				out[lit.Body] = true
-			}
-			return true
-		})
-	}
-	return out
 }
 
 func lockCheckBody(ctx *Context, pkg *Package, name string, body *ast.BlockStmt) []Diagnostic {
 	var diags []Diagnostic
 	cfg := ctx.cfgOf(pkg, name, body)
-	comms := selectCommStmts(body)
+	comms := selectComms(body, 1)
 	reportedLeak := make(map[string]bool) // acquisition pos + key, one leak finding each
 
 	line := func(p token.Pos) int { return pkg.Fset.Position(p).Line }
 
-	runLockFlow(pkg, cfg, func(n ast.Node, ls lockSet) {
+	solveFlow(cfg, make(lockSet), lockFlow(pkg, func(n ast.Node, ls lockSet) {
 		// Held at return / fall off the end: anchored at the acquisition so
 		// a pragma there covers every return the lock escapes through.
 		switch n.(type) {
@@ -181,7 +160,7 @@ func lockCheckBody(ctx *Context, pkg *Package, name string, body *ast.BlockStmt)
 					chanOp, mu.name, line(mu.pos)))
 			}
 		}
-	})
+	}))
 	return diags
 }
 

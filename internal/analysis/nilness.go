@@ -35,8 +35,8 @@ var Nilness = &Pass{
 
 func runNilness(ctx *Context, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
-		cfg := ctx.cfgOf(pkg, name, body)
+	funcBodies(pkg, func(fb funcBody) {
+		cfg := ctx.cfgOf(pkg, fb.name, fb.body)
 		reported := make(map[types.Object]bool)
 		runFlow(pkg, cfg, nil, flowHooks{
 			transfer: func(n ast.Node, fs factSet) {
@@ -60,45 +60,19 @@ func runNilness(ctx *Context, pkg *Package) []Diagnostic {
 
 func nilnessTransfer(pkg *Package, n ast.Node, fs factSet) {
 	switch n := n.(type) {
-	case *ast.AssignStmt:
-		lhs := make([]types.Object, len(n.Lhs))
-		for i, l := range n.Lhs {
-			lhs[i] = assignedObj(pkg, l)
-		}
-		nilnessKills(pkg, n, fs)
-		invalidateAssigned(fs, lhs)
-		if len(n.Rhs) != 1 {
-			return
-		}
-		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-			genNilableResults(pkg, n.Pos(), call, lhs, fs)
-			return
-		}
-		if len(lhs) == 1 && lhs[0] != nil && isNilExpr(pkg, n.Rhs[0]) && isNilableType(lhs[0].Type()) {
-			fs[lhs[0]] = fact{acquired: n.Pos(), desc: "assigned nil", mayNil: true}
-		}
-	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || len(vs.Values) != 1 {
-				continue
-			}
-			lhs := make([]types.Object, len(vs.Names))
-			for i, id := range vs.Names {
-				if id.Name != "_" {
-					lhs[i] = pkg.Info.Defs[id]
-				}
-			}
-			nilnessKills(pkg, vs.Values[0], fs)
+	case *ast.AssignStmt, *ast.DeclStmt:
+		assignments(pkg, n, func(at ast.Node, lhs []types.Object, rhs []ast.Expr) {
+			nilnessKills(pkg, at, fs)
 			invalidateAssigned(fs, lhs)
-			if call, ok := ast.Unparen(vs.Values[0]).(*ast.CallExpr); ok {
-				genNilableResults(pkg, vs.Pos(), call, lhs, fs)
+			if len(rhs) != 1 {
+				return
 			}
-		}
+			if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok {
+				genNilableResults(pkg, at.Pos(), call, lhs, fs)
+			} else if len(lhs) == 1 && lhs[0] != nil && isNilExpr(pkg, rhs[0]) && isNilableType(lhs[0].Type()) {
+				fs[lhs[0]] = fact{acquired: at.Pos(), desc: "assigned nil", mayNil: true}
+			}
+		})
 	case *ast.ReturnStmt:
 		// Returning a may-nil value hands the question to the caller; the
 		// path ends here either way.

@@ -63,9 +63,9 @@ type retryMark struct {
 
 func runRetrySafe(ctx *Context, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
-		ast.Inspect(body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok && fl.Body != body {
+	funcBodies(pkg, func(fb funcBody) {
+		ast.Inspect(fb.body, func(n ast.Node) bool {
+			if fl, ok := n.(*ast.FuncLit); ok && fl.Body != fb.body {
 				return false // funcBodies visits the literal separately
 			}
 			switch n := n.(type) {

@@ -41,36 +41,6 @@ func secretName(name string) bool {
 	return secretWordRE.MatchString(name) || secretExactRE.MatchString(name)
 }
 
-// collectSecretTypes scans the loaded packages for //myproxy:secret-marked
-// type declarations and returns their fully-qualified names.
-func collectSecretTypes(pkgs []*Package) map[string]string {
-	marked := make(map[string]string)
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					if typeDocHasMarker(gd.Doc, ts.Doc, ts.Comment) {
-						obj, ok := pkg.Info.Defs[ts.Name]
-						if !ok || obj.Pkg() == nil {
-							continue
-						}
-						marked[obj.Pkg().Path()+"."+obj.Name()] = "marked //myproxy:secret"
-					}
-				}
-			}
-		}
-	}
-	return marked
-}
-
 // isSecretType reports whether t itself is secret: rsa.PrivateKey or a
 // //myproxy:secret-marked named type (pointers are dereferenced).
 func (ctx *Context) isSecretType(t types.Type) (string, bool) {

@@ -45,15 +45,11 @@ var SecretEscape = &Pass{
 
 func runSecretEscape(ctx *Context, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
+	funcBodies(pkg, func(fb funcBody) {
+		if fd, ok := fb.fn.(*ast.FuncDecl); ok {
 			diags = append(diags, secretEscapeFunc(ctx, pkg, fd)...)
 		}
-	}
+	})
 	return diags
 }
 

@@ -26,10 +26,11 @@ import (
 //     clear()), or forwards it to a function that does; propagated to a
 //     fixpoint so trivial wrappers inherit the fact.
 //   - closesParam / leakOnError: for every closer-typed parameter the
-//     dataflow engine runs over the body with the parameter seeded "open";
-//     closed-or-retained on every path ⇒ closesParam, still open at some
-//     return ⇒ leakOnError. Callers translate leakOnError into "I keep
-//     ownership if the call failed" (see connleak.go).
+//     shared obligation tracker (dataflow.go) runs over the body with the
+//     parameter seeded "open"; closed-or-retained on every path ⇒
+//     closesParam, still open at some return ⇒ leakOnError. A caller whose
+//     wrapper call does not close its conn keeps ownership if the call
+//     failed (see connleak.go).
 //   - acquiresConn / acquiresWritable: a return statement returns the result
 //     of a known acquirer (directly or via a local), so the function itself
 //     hands its caller an open resource.
@@ -68,8 +69,8 @@ type funcSummary struct {
 	// requiresLock maps mutex field paths (relative to the receiver) whose
 	// lock the *caller* must hold: the method accesses a //myproxy:guardedby
 	// field without locking internally. The value records whether a write
-	// lock is needed. Propagated to a fixpoint through same-receiver helper
-	// calls (see computeLockSummaries).
+	// lock is needed. Propagated through same-receiver helper calls by the
+	// summary sweep (see deriveLockFacts).
 	requiresLock map[string]bool
 	// retryMarks records the retry-safe-ambiguity constructions reachable
 	// from this function whose op name or safety gate is one of its own
@@ -120,7 +121,14 @@ type taintSinkFlow struct {
 
 func (s *funcSummary) wipesParam(i int) bool  { return s != nil && s.wipes[i] }
 func (s *funcSummary) closesParam(i int) bool { return s != nil && s.closes[i] }
-func (s *funcSummary) leaksParam(i int) bool  { return s != nil && s.leakOnError[i] }
+
+// locks returns locksFields, tolerating a missing summary.
+func (s *funcSummary) locks() map[string]bool {
+	if s == nil {
+		return nil
+	}
+	return s.locksFields
+}
 
 type summaryTable map[string]*funcSummary
 
@@ -159,7 +167,8 @@ func funcKey(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
-// seedSummaries returns the built-in knowledge about the standard library.
+// seedSummaries returns the built-in knowledge about the standard library,
+// the taint frontier included (taint.go).
 func seedSummaries() summaryTable {
 	t := make(summaryTable)
 	acquire := func(keys ...string) {
@@ -188,6 +197,7 @@ func seedSummaries() summaryTable {
 	} {
 		t.get(k).secretResult = true
 	}
+	seedTaintSummaries(t)
 	return t
 }
 
@@ -221,28 +231,17 @@ func computeParamFates(ctx *Context, pkg *Package, t summaryTable, key string, f
 	}
 	changed := false
 	cfg := ctx.cfgOf(pkg, key, body)
+	// Close (direct or deferred) and callees known to close the argument
+	// discharge; escapes discharge too — the parameter's fate is then its
+	// new owner's problem. Plain argument passes keep the obligation.
+	leaked := false
+	o := &obligation{ctx: ctx, pkg: pkg, tracks: isCloserType, passKeeps: true, deferIsNode: true,
+		leak: func(fact, int, bool) { leaked = true }}
+	o.recv, o.discharges = o.closeRecv, o.closesArg
 	for _, i := range closerIdx {
 		p := params.At(i)
-		seed := factSet{p: {acquired: p.Pos(), desc: "parameter " + p.Name()}}
-		leaked := false
-		runFlow(pkg, cfg, seed, flowHooks{
-			transfer: func(n ast.Node, fs factSet) {
-				summaryFlowTransfer(pkg, t, n, fs)
-			},
-			report: func(n ast.Node, fs factSet) {
-				if _, live := fs[p]; !live {
-					return
-				}
-				switch n := n.(type) {
-				case *ast.ReturnStmt:
-					if !mentionsObj(pkg, n, p) {
-						leaked = true
-					}
-				case *ast.BlockStmt:
-					leaked = true // fall-off-the-end with the param open
-				}
-			},
-		})
+		leaked = false
+		o.run(cfg, factSet{p: {acquired: p.Pos(), desc: "parameter " + p.Name()}})
 		s := t.get(key)
 		if s.leakOnError[i] != leaked || s.closes[i] != !leaked {
 			changed = true
@@ -262,38 +261,6 @@ func computeParamFates(ctx *Context, pkg *Package, t summaryTable, key string, f
 		}
 	}
 	return changed
-}
-
-// summaryFlowTransfer is the coarse transfer used while computing parameter
-// fates: Close (direct or deferred) kills, escapes (assignment, composite,
-// closure capture, send) kill — the parameter's fate is then its new owner's
-// problem — and calls to callees known to close the argument kill. Plain
-// argument passes keep the obligation.
-func summaryFlowTransfer(pkg *Package, t summaryTable, n ast.Node, fs factSet) {
-	if len(fs) == 0 {
-		return
-	}
-	applyCalls(pkg, n, func(call *ast.CallExpr) {
-		if obj := closeReceiver(pkg, call); obj != nil {
-			delete(fs, obj)
-			return
-		}
-		fn := calleeFunc(pkg, call)
-		sum := t.of(fn)
-		for i, arg := range call.Args {
-			obj := identObj(pkg, arg)
-			if obj == nil {
-				continue
-			}
-			if _, tracked := fs[obj]; !tracked {
-				continue
-			}
-			if sum.closesParam(argParamIndex(fn, i)) {
-				delete(fs, obj)
-			}
-		}
-	})
-	killEscapedMentions(pkg, n, fs, nil)
 }
 
 // argParamIndex maps an argument position to the parameter index, clamping
@@ -525,24 +492,19 @@ func isClearCall(pkg *Package, call *ast.CallExpr, obj types.Object) bool {
 	return len(call.Args) == 1 && identObj(pkg, call.Args[0]) == obj
 }
 
-// armsDeadline reports whether the body calls a deadline-arming method.
-func armsDeadline(pkg *Package, body *ast.BlockStmt) bool {
+// armsDeadline reports whether the body (nested literals included —
+// arming is arming) calls a deadline-arming method: on obj when obj is
+// non-nil, on any receiver otherwise.
+func armsDeadline(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeFunc(pkg, call); fn != nil && deadlineMethodNames[fn.Name()] {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				found = true
-				return false
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			if fn := calleeFunc(pkg, call); fn != nil && deadlineMethodNames[fn.Name()] &&
+				fn.Type().(*types.Signature).Recv() != nil {
+				found = obj == nil || recvObj(pkg, call) == obj
 			}
 		}
-		return true
+		return !found
 	})
 	return found
 }
@@ -564,35 +526,25 @@ func isErrorVar(obj types.Object) bool {
 }
 
 // isCloserType reports whether t (or *t) has a Close() error method.
-func isCloserType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if hasMethodNamed(t, "Close") {
-		return true
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		if _, isIface := t.Underlying().(*types.Interface); !isIface {
-			return hasMethodNamed(types.NewPointer(t), "Close")
-		}
-	}
-	return false
-}
+func isCloserType(t types.Type) bool { return hasMethodOrPtr(t, "Close") }
 
 // hasDeadline reports whether t can be armed with SetDeadline.
-func hasDeadline(t types.Type) bool {
+func hasDeadline(t types.Type) bool { return hasMethodOrPtr(t, "SetDeadline") }
+
+// hasMethodOrPtr reports whether t, or a pointer to a non-pointer,
+// non-interface t, has the named method.
+func hasMethodOrPtr(t types.Type, name string) bool {
 	if t == nil {
 		return false
 	}
-	if hasMethodNamed(t, "SetDeadline") {
+	if hasMethodNamed(t, name) {
 		return true
 	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		if _, isIface := t.Underlying().(*types.Interface); !isIface {
-			return hasMethodNamed(types.NewPointer(t), "SetDeadline")
-		}
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Interface:
+		return false
 	}
-	return false
+	return hasMethodNamed(types.NewPointer(t), name)
 }
 
 func hasMethodNamed(t types.Type, name string) bool {
@@ -685,8 +637,8 @@ func mentionsObj(pkg *Package, n ast.Node, obj types.Object) bool {
 // channel, captured by a function literal, or returned. Mentions that are
 // *not* escapes — the receiver of a method call, a call argument (handled
 // separately by each pass's call rules), a nil comparison, len/cap — keep
-// the obligation. keep, when non-nil, vetoes the kill for specific objects.
-func killEscapedMentions(pkg *Package, n ast.Node, fs factSet, keep func(types.Object) bool) {
+// the obligation.
+func killEscapedMentions(pkg *Package, n ast.Node, fs factSet) {
 	root := shallowRoot(n)
 	if root == nil || len(fs) == 0 {
 		return
@@ -707,9 +659,6 @@ func killEscapedMentions(pkg *Package, n ast.Node, fs factSet, keep func(types.O
 			return true
 		}
 		if _, tracked := fs[obj]; !tracked {
-			return true
-		}
-		if keep != nil && keep(obj) {
 			return true
 		}
 		if escapingUse(pkg, stack) {

@@ -140,8 +140,8 @@ var HdrTaint = &Pass{
 func runTaintKind(kind taintKind) func(*Context, *Package) []Diagnostic {
 	return func(ctx *Context, pkg *Package) []Diagnostic {
 		var diags []Diagnostic
-		funcBodies(pkg, func(name string, body *ast.BlockStmt) {
-			for _, f := range ctx.taintFindingsOf(pkg, name, body) {
+		funcBodies(pkg, func(fb funcBody) {
+			for _, f := range ctx.taintFindingsOf(pkg, fb.name, fb.body) {
 				if f.kind == kind {
 					diags = append(diags, pkg.diag(kind.String(), f.pos, "%s", f.msg))
 				}
@@ -157,94 +157,17 @@ func runTaintKind(kind taintKind) func(*Context, *Package) []Diagnostic {
 // with no seeds.
 func (ctx *Context) taintFindingsOf(pkg *Package, name string, body *ast.BlockStmt) []taintFinding {
 	ctx.taintMu.Lock()
-	if ctx.taintFacts == nil {
-		ctx.taintFacts = make(map[*ast.BlockStmt][]taintFinding)
-	}
-	if f, ok := ctx.taintFacts[body]; ok {
-		ctx.taintMu.Unlock()
+	f, ok := ctx.taintFacts[body]
+	ctx.taintMu.Unlock()
+	if ok {
 		return f
 	}
-	ctx.taintMu.Unlock()
 	c := newTaintChecker(ctx, pkg, ctx.Summaries, -1)
-	runFlow(pkg, ctx.cfgOf(pkg, name, body), nil, flowHooks{
-		transfer: c.transfer,
-		refine:   c.refine,
-		report:   c.report,
-	})
+	c.run(ctx.cfgOf(pkg, name, body), nil)
 	ctx.taintMu.Lock()
 	ctx.taintFacts[body] = c.findings
 	ctx.taintMu.Unlock()
 	return c.findings
-}
-
-// --- marker collection ---
-
-// collectTaintMarkers scans the load for //myproxy:untrusted (types, funcs
-// and interface methods) and //myproxy:sanitizes (funcs) markers. The
-// untrusted-type set is pre-seeded with the net/http request frontier.
-func collectTaintMarkers(pkgs []*Package) (untrustedTypes map[string]string, untrustedFns, sanitizeFns map[string]bool) {
-	untrustedTypes = map[string]string{
-		"net/http.Request": "carries client-controlled URL, form, header and body data",
-		"net/url.Values":   "decoded query/form values are client-controlled",
-		"net/url.URL":      "parsed request URLs are client-controlled",
-	}
-	untrustedFns = make(map[string]bool)
-	sanitizeFns = make(map[string]bool)
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
-					if fn == nil {
-						continue
-					}
-					key := funcKey(fn)
-					if key == "" {
-						continue
-					}
-					if docHasMarker(untrustedMarker, d.Doc) {
-						untrustedFns[key] = true
-					}
-					if docHasMarker(sanitizesMarker, d.Doc) {
-						sanitizeFns[key] = true
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-						if tn == nil || tn.Pkg() == nil {
-							continue
-						}
-						if docHasMarker(untrustedMarker, d.Doc, ts.Doc) {
-							untrustedTypes[tn.Pkg().Path()+"."+tn.Name()] = "marked //myproxy:untrusted"
-						}
-						// Interface methods: gsi.Channel.ReadMessage has no
-						// body to derive a summary from, so the marker on
-						// the method declaration seeds taintsReturn.
-						if it, ok := ts.Type.(*ast.InterfaceType); ok && it.Methods != nil {
-							for _, m := range it.Methods.List {
-								if len(m.Names) == 0 || !docHasMarker(untrustedMarker, m.Doc) {
-									continue
-								}
-								mf, _ := pkg.Info.Defs[m.Names[0]].(*types.Func)
-								if mf == nil {
-									continue
-								}
-								if key := funcKey(mf); key != "" {
-									untrustedFns[key] = true
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return untrustedTypes, untrustedFns, sanitizeFns
 }
 
 // untrustedType reports whether an expression of type t is ambient-tainted
@@ -390,6 +313,10 @@ func logSinkOf(pkg *Package, call *ast.CallExpr, fn *types.Func) (name string, f
 			return "", 0, 0, false
 		}
 		name = "(*log.Logger)." + fn.Name()
+	} else if fn.Pkg().Path() == "log" {
+		name = "log." + fn.Name()
+	}
+	if name != "" {
 		switch fn.Name() {
 		case "Printf", "Fatalf", "Panicf":
 			return name, 0, 1, true
@@ -401,16 +328,6 @@ func logSinkOf(pkg *Package, call *ast.CallExpr, fn *types.Func) (name string, f
 		return "", 0, 0, false
 	}
 	switch fn.Pkg().Path() {
-	case "log":
-		name = "log." + fn.Name()
-		switch fn.Name() {
-		case "Printf", "Fatalf", "Panicf":
-			return name, 0, 1, true
-		case "Print", "Println", "Fatal", "Fatalln", "Panic", "Panicln":
-			return name, -1, 0, true
-		case "Output":
-			return name, -1, 1, true
-		}
 	case "fmt":
 		name = "fmt." + fn.Name()
 		switch fn.Name() {
@@ -482,6 +399,11 @@ func newTaintChecker(ctx *Context, pkg *Package, t summaryTable, fmtIdx int) *ta
 		seen:   make(map[taintSeenKey]bool),
 		flows:  make(map[taintSinkFlow]bool),
 	}
+}
+
+// run flows the checker over one CFG from the entry facts seed.
+func (c *taintChecker) run(cfg *CFG, seed factSet) {
+	runFlow(c.pkg, cfg, seed, flowHooks{transfer: c.transfer, refine: c.refine, report: c.report})
 }
 
 // excludedTaintType: types that never carry recoverable wire content —
@@ -668,13 +590,12 @@ func (c *taintChecker) printfMask(call *ast.CallExpr, fmtIdx int, fs factSet) ui
 	if !ok {
 		return c.exprMask(call.Args[fmtIdx], fs) | c.argsUnion(operands, fs)
 	}
-	verbs := printfVerbs(format)
+	escaped := escapedOperands(format)
 	var m uint64
 	for i, op := range operands {
-		if i < len(verbs) && escapingVerb(verbs[i]) {
-			continue
+		if !escaped[i] {
+			m |= c.exprMask(op, fs)
 		}
-		m |= c.exprMask(op, fs)
 	}
 	return m
 }
@@ -686,16 +607,21 @@ func (c *taintChecker) transfer(n ast.Node, fs factSet) {
 	// assignment computes the results' masks.
 	c.transferCalls(n, fs)
 	switch s := n.(type) {
-	case *ast.AssignStmt:
-		c.transferAssign(s, fs)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					c.transferValueSpec(vs, fs)
-				}
+	case *ast.AssignStmt, *ast.DeclStmt:
+		if as, ok := s.(*ast.AssignStmt); ok && as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
+			// Compound assignment (+=, |=, ...): the target keeps its own
+			// taint and gains the operand's; nothing is invalidated.
+			if len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+				m := c.exprMask(as.Lhs[0], fs) | c.exprMask(as.Rhs[0], fs)
+				c.setTaint(fs, assignedObj(c.pkg, as.Lhs[0]), m, as.Rhs[0].Pos(), "tainted accumulation")
 			}
+			return
 		}
+		assignments(c.pkg, s, func(at ast.Node, lhs []types.Object, rhs []ast.Expr) {
+			if len(rhs) > 0 {
+				c.assign(at.Pos(), lhs, rhs, fs)
+			}
+		})
 	case *ast.RangeStmt:
 		c.transferRange(s, fs)
 	}
@@ -713,101 +639,38 @@ func (c *taintChecker) setTaint(fs factSet, obj types.Object, m uint64, pos toke
 	fs[obj] = f
 }
 
-func (c *taintChecker) transferAssign(as *ast.AssignStmt, fs factSet) {
-	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
-		// Compound assignment (+=, |=, ...): the target keeps its own taint
-		// and gains the operand's; nothing is invalidated.
-		if len(as.Lhs) == 1 && len(as.Rhs) == 1 {
-			m := c.exprMask(as.Lhs[0], fs) | c.exprMask(as.Rhs[0], fs)
-			if obj := assignedObj(c.pkg, as.Lhs[0]); obj != nil {
-				c.setTaint(fs, obj, m, as.Rhs[0].Pos(), "tainted accumulation")
-			}
-		}
-		return
-	}
-	if len(as.Rhs) == 1 {
-		m := c.exprMask(as.Rhs[0], fs)
-		objs := make([]types.Object, len(as.Lhs))
-		for i, lhs := range as.Lhs {
-			objs[i] = assignedObj(c.pkg, lhs)
-		}
-		errObj := pairedErr(objs)
-		invalidateAssigned(fs, objs)
-		if m != 0 {
-			for _, o := range objs {
-				if o == nil || isErrorVar(o) || excludedTaintType(o.Type()) {
-					continue
-				}
-				f := fact{acquired: as.Pos(), desc: "tainted assignment", taintSrc: m}
-				if errObj != nil {
-					// The value only materializes on success; the taint
-					// dies with it on err != nil edges.
-					f.err = errObj
-					f.errLive = errIsNil
-				}
-				fs[o] = f
-			}
-		}
-		// After invalidation (which clears stale err pairings), pair the
-		// arguments of a validator call with its error result: the taint
-		// dies on the err == nil branch.
-		c.pairValidator(as, errObj, fs)
-		return
-	}
-	// Parallel assignment: RHS masks before any target is invalidated.
-	masks := make([]uint64, len(as.Rhs))
-	for i, r := range as.Rhs {
+// assign gives each target the taint of its value: `a, b = x, y` pairs
+// them up (all masks evaluated before any target is invalidated), and a
+// single value taints every target, paired with the statement's error
+// variable — the value only materializes on success, so the taint dies
+// with it on err != nil edges.
+func (c *taintChecker) assign(pos token.Pos, objs []types.Object, rhs []ast.Expr, fs factSet) {
+	masks := make([]uint64, len(rhs))
+	for i, r := range rhs {
 		masks[i] = c.exprMask(r, fs)
 	}
-	objs := make([]types.Object, len(as.Lhs))
-	for i, lhs := range as.Lhs {
-		objs[i] = assignedObj(c.pkg, lhs)
+	var errObj types.Object
+	if len(rhs) == 1 {
+		errObj = pairedErr(objs)
 	}
 	invalidateAssigned(fs, objs)
 	for i, o := range objs {
-		if o == nil || i >= len(masks) || masks[i] == 0 || isErrorVar(o) || excludedTaintType(o.Type()) {
-			continue
-		}
-		fs[o] = fact{acquired: as.Pos(), desc: "tainted assignment", taintSrc: masks[i]}
-	}
-}
-
-func (c *taintChecker) transferValueSpec(vs *ast.ValueSpec, fs factSet) {
-	if len(vs.Values) == 0 {
-		return
-	}
-	if len(vs.Values) == 1 {
-		m := c.exprMask(vs.Values[0], fs)
-		var objs []types.Object
-		for _, name := range vs.Names {
-			objs = append(objs, assignedObj(c.pkg, name))
-		}
-		errObj := pairedErr(objs)
-		invalidateAssigned(fs, objs)
-		if m == 0 {
-			return
-		}
-		for _, o := range objs {
-			if o == nil || isErrorVar(o) || excludedTaintType(o.Type()) {
-				continue
+		m := masks[0]
+		if len(rhs) > 1 {
+			if i >= len(masks) {
+				break
 			}
-			f := fact{acquired: vs.Pos(), desc: "tainted declaration", taintSrc: m}
-			if errObj != nil {
-				f.err = errObj
-				f.errLive = errIsNil
-			}
-			fs[o] = f
+			m = masks[i]
 		}
-		return
+		if o != nil && m != 0 && !isErrorVar(o) && !excludedTaintType(o.Type()) {
+			fs[o] = fact{acquired: pos, desc: "tainted assignment", taintSrc: m, err: errObj, errLive: errIsNil}
+		}
 	}
-	for i, name := range vs.Names {
-		if i >= len(vs.Values) {
-			break
-		}
-		m := c.exprMask(vs.Values[i], fs)
-		obj := assignedObj(c.pkg, name)
-		invalidateAssigned(fs, []types.Object{obj})
-		c.setTaint(fs, obj, m, vs.Pos(), "tainted declaration")
+	// After invalidation (which clears stale err pairings), pair the
+	// arguments of a validator call with its error result: the taint dies
+	// on the err == nil branch.
+	if len(rhs) == 1 {
+		c.pairValidator(rhs[0], errObj, fs)
 	}
 }
 
@@ -937,11 +800,11 @@ func (c *taintChecker) taintAddrTarget(arg ast.Expr, fs factSet, pos token.Pos, 
 // pairValidator pairs validated arguments with the validator's error
 // result: `if err := ValidateUsername(u); err == nil { ... }` kills u's
 // taint on the nil branch (refineNilFact's errNonNil sense).
-func (c *taintChecker) pairValidator(as *ast.AssignStmt, errObj types.Object, fs factSet) {
-	if errObj == nil || len(as.Rhs) != 1 {
+func (c *taintChecker) pairValidator(rhs ast.Expr, errObj types.Object, fs factSet) {
+	if errObj == nil {
 		return
 	}
-	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 	if !ok {
 		return
 	}
@@ -1102,12 +965,11 @@ func (c *taintChecker) checkCallSinks(call *ast.CallExpr, fs factSet) {
 func (c *taintChecker) checkLogSink(call *ast.CallExpr, name string, fmtIdx, argStart int, fs factSet) {
 	if fmtIdx >= 0 && fmtIdx < len(call.Args) {
 		if format, ok := constString(c.pkg, call.Args[fmtIdx]); ok {
-			verbs := printfVerbs(format)
+			escaped := escapedOperands(format)
 			for i, op := range call.Args[fmtIdx+1:] {
-				if i < len(verbs) && escapingVerb(verbs[i]) {
-					continue
+				if !escaped[i] {
+					c.sinkArg(taintLog, name, op, fs)
 				}
-				c.sinkArg(taintLog, name, op, fs)
 			}
 			return
 		}
@@ -1153,10 +1015,7 @@ func (c *taintChecker) checkLogfValue(call *ast.CallExpr, fs factSet) {
 		return
 	}
 	format, isConst := constString(c.pkg, call.Args[0])
-	var verbs []byte
-	if isConst {
-		verbs = printfVerbs(format)
-	}
+	escaped := escapedOperands(format)
 	if !isConst {
 		c.sinkArg(taintLog, name, call.Args[0], fs)
 	}
@@ -1165,10 +1024,9 @@ func (c *taintChecker) checkLogfValue(call *ast.CallExpr, fs factSet) {
 			c.addFinding(taintLog, op.Pos(),
 				fmt.Sprintf("secret value reaches log wrapper %s: %s; redact it before logging", name, desc))
 		}
-		if isConst && i < len(verbs) && escapingVerb(verbs[i]) {
-			continue
+		if !escaped[i] {
+			c.sinkArg(taintLog, name, op, fs)
 		}
-		c.sinkArg(taintLog, name, op, fs)
 	}
 }
 
@@ -1218,9 +1076,7 @@ func (c *taintChecker) checkFlowSinks(call *ast.CallExpr, fn *types.Func, sum *f
 			}
 			if flow.fmtParam >= 0 && flow.fmtParam < len(call.Args) && sig != nil {
 				if format, ok := constString(c.pkg, call.Args[flow.fmtParam]); ok {
-					member := argIdx - (sig.Params().Len() - 1)
-					verbs := printfVerbs(format)
-					if member >= 0 && member < len(verbs) && escapingVerb(verbs[member]) {
+					if escapedOperands(format)[argIdx-(sig.Params().Len()-1)] {
 						continue
 					}
 				}
@@ -1339,47 +1195,7 @@ func taintRemedy(kind taintKind) string {
 	return ""
 }
 
-// --- summary computation (called from buildSummaries) ---
-
-// computeTaintSummaries derives every taint summary bottom-up and memoizes
-// each declaration body's sink findings for the four passes. Two rounds:
-// the bottom-up order makes non-recursive code exact in round one; round
-// two re-derives with the full table so recursive components and the
-// memoized findings see final callee facts.
-func computeTaintSummaries(ctx *Context, t summaryTable, ordered []declSite, untrustedFns, sanitizeFns map[string]bool) {
-	seedTaintSummaries(t)
-	for key := range untrustedFns {
-		s := t.get(key)
-		s.taintKnown = true
-		s.taintsReturn = true
-	}
-	for key := range sanitizeFns {
-		s := t.get(key)
-		s.taintKnown = true
-		if d, ok := ctx.FuncDecls[key]; ok && validatorShape(d.fn) {
-			sig := d.fn.Type().(*types.Signature)
-			s.validates = make(map[int]bool)
-			for i := 0; i < sig.Params().Len(); i++ {
-				if stringish(sig.Params().At(i).Type()) {
-					s.validates[i] = true
-				}
-			}
-		} else {
-			s.sanitizes = true
-		}
-	}
-	ctx.taintMu.Lock()
-	if ctx.taintFacts == nil {
-		ctx.taintFacts = make(map[*ast.BlockStmt][]taintFinding)
-	}
-	ctx.taintMu.Unlock()
-	for round := 0; round < 2; round++ {
-		final := round == 1
-		for _, d := range ordered {
-			taintScanDecl(ctx, t, d, sanitizeFns, final)
-		}
-	}
-}
+// --- summary derivation (one step of the bottom-up sweep, interproc.go) ---
 
 // taintCandidateParam: parameter types worth tracking bit-wise — string
 // shapes, integers, byte slices, interface{} — excluding untrusted-typed
@@ -1400,10 +1216,13 @@ func taintCandidateParam(ctx *Context, t types.Type) bool {
 	return false
 }
 
-// taintScanDecl flows one declaration with its candidate parameters seeded,
-// deriving the taint summary facts and (in the final round) memoizing the
-// body's ambient sink findings.
-func taintScanDecl(ctx *Context, t summaryTable, d declSite, sanitizeFns map[string]bool, final bool) {
+// deriveTaintFacts flows one declaration with its candidate parameters
+// seeded, adds the taint summary facts it derives, memoizes the body's
+// ambient sink findings for the four taint passes, and reports whether any
+// fact was added. The sweep visits a non-recursive declaration once, after
+// its callees are final; a recursive component iterates until nothing is
+// added, so the findings memoized last were computed from final facts.
+func deriveTaintFacts(ctx *Context, t summaryTable, d declSite) bool {
 	sig := d.fn.Type().(*types.Signature)
 	params := sig.Params()
 	seed := make(factSet)
@@ -1439,49 +1258,46 @@ func taintScanDecl(ctx *Context, t summaryTable, d declSite, sanitizeFns map[str
 		observeParams(fs)
 	}
 	c.onEnd = observeParams
-
-	runFlow(d.pkg, ctx.cfgOf(d.pkg, d.key, d.fd.Body), seed, flowHooks{
-		transfer: c.transfer,
-		refine:   c.refine,
-		report:   c.report,
-	})
+	c.run(ctx.cfgOf(d.pkg, d.key, d.fd.Body), seed)
+	ctx.taintFacts[d.fd.Body] = c.findings
 
 	s := t.get(d.key)
+	changed := !s.taintKnown
 	s.taintKnown = true
-	if !sanitizeFns[d.key] && !s.sanitizes {
-		if returnMask&ambientTaint != 0 {
-			s.taintsReturn = true
+	add := func(m *map[int]bool, i int) {
+		if !(*m)[i] {
+			if *m == nil {
+				*m = make(map[int]bool)
+			}
+			(*m)[i] = true
+			changed = true
+		}
+	}
+	if !ctx.markers.sanitizes[d.key] && !s.sanitizes {
+		if returnMask&ambientTaint != 0 && !s.taintsReturn {
+			s.taintsReturn, changed = true, true
 		}
 		for _, i := range candidates {
 			if returnMask&paramBit(i) != 0 {
-				if s.taintProp == nil {
-					s.taintProp = make(map[int]bool)
-				}
-				s.taintProp[i] = true
+				add(&s.taintProp, i)
 			}
 		}
 		for i := range bufAmbient {
-			if s.taintsBuf == nil {
-				s.taintsBuf = make(map[int]bool)
-			}
-			s.taintsBuf[i] = true
+			add(&s.taintsBuf, i)
 		}
 	}
 	for f := range c.flows {
 		if !containsFlow(s.taintSinks, f) {
 			s.taintSinks = append(s.taintSinks, f)
+			changed = true
 		}
 	}
 	if len(s.validates) == 0 {
 		if idx, ok := derivesValidator(d.pkg, d.fd, sig); ok {
-			s.validates = map[int]bool{idx: true}
+			add(&s.validates, idx)
 		}
 	}
-	if final {
-		ctx.taintMu.Lock()
-		ctx.taintFacts[d.fd.Body] = c.findings
-		ctx.taintMu.Unlock()
-	}
+	return changed
 }
 
 func containsFlow(flows []taintSinkFlow, f taintSinkFlow) bool {
@@ -1575,53 +1391,19 @@ func printfShape(sig *types.Signature) int {
 
 // --- small helpers ---
 
-// printfVerbs extracts one verb byte per consumed operand from a format
-// string; `*` width/precision consume an integer operand, recorded as 'd'.
-func printfVerbs(format string) []byte {
-	var verbs []byte
-	for i := 0; i < len(format); i++ {
-		if format[i] != '%' {
-			continue
-		}
-		i++
-		if i >= len(format) {
-			break
-		}
-		if format[i] == '%' {
-			continue
-		}
-		for i < len(format) && strings.IndexByte("+-# 0", format[i]) >= 0 {
-			i++
-		}
-		if i < len(format) && format[i] == '*' {
-			verbs = append(verbs, 'd')
-			i++
-		} else {
-			for i < len(format) && format[i] >= '0' && format[i] <= '9' {
-				i++
-			}
-		}
-		if i < len(format) && format[i] == '.' {
-			i++
-			if i < len(format) && format[i] == '*' {
-				verbs = append(verbs, 'd')
-				i++
-			} else {
-				for i < len(format) && format[i] >= '0' && format[i] <= '9' {
-					i++
-				}
-			}
-		}
-		if i < len(format) {
-			verbs = append(verbs, format[i])
-		}
+// escapedOperands resolves a constant format's verbs to their operands
+// (parseVerbs, explicit indexes included) and reports the operands every
+// consuming verb of which escapes: %q quotes and escapes, %x/%X
+// hex-encode — none can smuggle newlines, separators or control bytes into
+// the output. An operand no verb consumes is not escaped.
+func escapedOperands(format string) map[int]bool {
+	escaped := make(map[int]bool)
+	for _, v := range parseVerbs(format) {
+		prev, seen := escaped[v.arg]
+		escaped[v.arg] = (prev || !seen) && (v.verb == 'q' || v.verb == 'x' || v.verb == 'X')
 	}
-	return verbs
+	return escaped
 }
-
-// escapingVerb: %q quotes and escapes; %x/%X hex-encode — none can smuggle
-// newlines, separators or control bytes into the output.
-func escapingVerb(v byte) bool { return v == 'q' || v == 'x' || v == 'X' }
 
 func constString(pkg *Package, e ast.Expr) (string, bool) {
 	tv, ok := pkg.Info.Types[ast.Unparen(e)]

@@ -90,7 +90,8 @@ type Channel interface {
 	WriteMessage(p []byte) error
 }
 `)
-	untrustedTypes, untrustedFns, sanitizeFns := collectTaintMarkers([]*Package{pkg})
+	m, _ := scanMarkers([]*Package{pkg}, nil)
+	untrustedTypes, untrustedFns, sanitizeFns := m.untrustedTypes, m.untrustedFns, m.sanitizes
 
 	for _, want := range []string{"p.Request", "p.Frame"} {
 		if _, ok := untrustedTypes[want]; !ok {
@@ -138,15 +139,14 @@ type Loose struct{}
 
 func use(l Loose) {}
 `)
-	untrustedTypes, _, _ := collectTaintMarkers([]*Package{pkg})
-	if _, ok := untrustedTypes["p.Loose"]; ok {
-		t.Errorf("marker with trailing words must not collect")
-	}
 	known := map[string]bool{}
 	for _, p := range Passes {
 		known[p.Name] = true
 	}
-	_, diags := collectPragmas([]*Package{pkg}, known)
+	m, diags := scanMarkers([]*Package{pkg}, known)
+	if _, ok := m.untrustedTypes["p.Loose"]; ok {
+		t.Errorf("marker with trailing words must not collect")
+	}
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unknown myproxy pragma") {
 		t.Errorf("want one unknown-pragma finding for the malformed marker, got %v", diags)
 	}
@@ -173,7 +173,8 @@ func logIt(s string) {
 	for _, p := range Passes {
 		known[p.Name] = true
 	}
-	idx, diags := collectPragmas([]*Package{pkg}, known)
+	m, diags := scanMarkers([]*Package{pkg}, known)
+	idx := m.allows
 	if len(diags) != 0 {
 		t.Fatalf("markers or taint-pass allowances misreported: %v", diags)
 	}
@@ -214,8 +215,8 @@ var (
 	f int
 )
 `)
-	untrustedTypes, _, _ := collectTaintMarkers([]*Package{pkg})
-	ctx := &Context{UntrustedTypes: untrustedTypes}
+	m, _ := scanMarkers([]*Package{pkg}, nil)
+	ctx := &Context{UntrustedTypes: m.untrustedTypes}
 	want := map[string]bool{"a": true, "b": true, "c": true, "d": true,
 		"e": false, // beyond the unwrap depth: conservative non-taint
 		"f": false}

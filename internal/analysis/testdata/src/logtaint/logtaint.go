@@ -54,3 +54,11 @@ func Interproc() {
 	failf("bad user %s", name)
 	failf("bad user %q", name)
 }
+
+// Indexed resolves explicit argument indexes: name reaches the log line
+// through %[1]s despite the %q before it, while %[1]q alone is escaped.
+func Indexed() {
+	name := line()
+	log.Printf("a %q %[1]s", name)
+	log.Printf("b %[1]q", name)
+}

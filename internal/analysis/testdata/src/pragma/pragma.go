@@ -31,3 +31,10 @@ func Unknown() {
 	//myproxy:allow nosuchpass some reason
 	fmt.Println("x")
 }
+
+// Stale allows weakrand on a line with no weakrand finding: the allowance
+// suppresses nothing, so it is itself a finding.
+func Stale() int {
+	//myproxy:allow weakrand the next line no longer draws from math/rand
+	return 4
+}

@@ -34,43 +34,17 @@ var Verdict = &Pass{
 	Run:  runVerdict,
 }
 
-// collectVerdictTypes scans the load for //myproxy:verdict-marked type
-// declarations, returning their fully-qualified names.
-func collectVerdictTypes(pkgs []*Package) map[string]bool {
-	marked := make(map[string]bool)
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok || !docHasMarker(verdictMarker, gd.Doc, ts.Doc, ts.Comment) {
-						continue
-					}
-					if obj, ok := pkg.Info.Defs[ts.Name]; ok && obj.Pkg() != nil {
-						marked[obj.Pkg().Path()+"."+obj.Name()] = true
-					}
-				}
-			}
-		}
-	}
-	return marked
-}
-
 func runVerdict(ctx *Context, pkg *Package) []Diagnostic {
 	if len(ctx.Verdicts) == 0 {
 		return nil
 	}
 	var diags []Diagnostic
-	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
+	funcBodies(pkg, func(fb funcBody) {
 		chained := make(map[*ast.IfStmt]bool)
-		ast.Inspect(body, func(n ast.Node) bool {
+		ast.Inspect(fb.body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
-				if n.Body != body {
+				if n.Body != fb.body {
 					return false
 				}
 			case *ast.SwitchStmt:

@@ -44,10 +44,10 @@ var WgBalance = &Pass{
 
 func runWgBalance(ctx *Context, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
+	funcBodies(pkg, func(fb funcBody) {
 		litN := 0
-		ast.Inspect(body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok && fl.Body != body {
+		ast.Inspect(fb.body, func(n ast.Node) bool {
+			if fl, ok := n.(*ast.FuncLit); ok && fl.Body != fb.body {
 				return false // visited as its own funcBodies entry
 			}
 			gs, ok := n.(*ast.GoStmt)
@@ -59,10 +59,10 @@ func runWgBalance(ctx *Context, pkg *Package) []Diagnostic {
 				return true
 			}
 			litN++
-			diags = append(diags, checkSpawnedWorker(ctx, pkg, name, lit)...)
+			diags = append(diags, checkSpawnedWorker(ctx, pkg, fb.name, lit)...)
 			return true
 		})
-		diags = append(diags, checkFanoutBuffer(pkg, body)...)
+		diags = append(diags, checkFanoutBuffer(pkg, fb.body)...)
 	})
 	return diags
 }
@@ -92,7 +92,7 @@ func checkSpawnedWorker(ctx *Context, pkg *Package, owner string, lit *ast.FuncL
 
 	// Rules: Done path balance per captured WaitGroup; send balance per
 	// captured channel.
-	selectSends := selectCommSends(lit.Body)
+	selectSends := selectComms(lit.Body, 1)
 	for _, obj := range capturedAccounting(pkg, lit) {
 		if isWaitGroupType(obj.Type()) {
 			c := countOnPaths(ctx, pkg, owner+" worker", lit.Body, func(n ast.Node) int {
@@ -172,40 +172,11 @@ func waitGroupCall(pkg *Package, call *ast.CallExpr) (types.Object, string) {
 	return obj, sel.Sel.Name
 }
 
-func isWaitGroupType(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named := namedOf(t)
-	return named != nil && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
-}
+func isWaitGroupType(t types.Type) bool { return isSyncType(t, "WaitGroup") }
 
 func isChanType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// selectCommSends collects the SendStmts that are select communication
-// clauses — a send there has the select's other arms as its escape hatch
-// and is not an unconditional obligation.
-func selectCommSends(body *ast.BlockStmt) map[*ast.SendStmt]bool {
-	out := make(map[*ast.SendStmt]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if send, ok := cc.Comm.(*ast.SendStmt); ok {
-					out[send] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // countMatches counts match hits within one CFG node, not descending into
@@ -258,52 +229,23 @@ func joinCounts(a, b pathCount) pathCount {
 // which equals their run count: a registered defer always executes.
 func countOnPaths(ctx *Context, pkg *Package, name string, body *ast.BlockStmt, matchCount func(ast.Node) int) pathCount {
 	cfg := ctx.cfgOf(pkg, name, body)
-	in := make([]pathCount, len(cfg.Blocks))
-	reached := make([]bool, len(cfg.Blocks))
-	reached[cfg.Entry.Index] = true
-
-	work := []*Block{cfg.Entry}
-	queued := make([]bool, len(cfg.Blocks))
-	queued[cfg.Entry.Index] = true
-	for iter := 0; len(work) > 0; iter++ {
-		if iter > 100000 {
-			break // lattice is finite; defensive only
-		}
-		blk := work[0]
-		work = work[1:]
-		queued[blk.Index] = false
-
-		out := in[blk.Index]
-		for _, n := range blk.Nodes {
+	in, reached := solveFlow(cfg, pathCount{}, flowSpec[pathCount]{
+		clone: func(c pathCount) pathCount { return c },
+		join: func(dst, src pathCount) (pathCount, bool) {
+			j := joinCounts(dst, src)
+			return j, j != dst
+		},
+		transfer: func(n ast.Node, c pathCount) pathCount {
 			// The function's own BlockStmt is the end-of-function marker
 			// node; counting it would re-walk the whole body. A RangeStmt
 			// marker likewise holds its lowered body: only the range
 			// expression evaluates at the marker itself.
-			switch m := n.(type) {
-			case *ast.BlockStmt:
-				continue
-			case *ast.RangeStmt:
-				out = out.add(matchCount(m.X))
-				continue
+			if root := shallowRoot(n); root != nil {
+				c = c.add(matchCount(root))
 			}
-			out = out.add(matchCount(n))
-		}
-		for _, e := range blk.Succs {
-			i := e.To.Index
-			next := out
-			if reached[i] {
-				next = joinCounts(in[i], out)
-			}
-			if !reached[i] || next != in[i] {
-				reached[i] = true
-				in[i] = next
-				if !queued[i] {
-					work = append(work, e.To)
-					queued[i] = true
-				}
-			}
-		}
-	}
+			return c
+		},
+	})
 	if !reached[cfg.Exit.Index] {
 		return pathCount{}
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -31,138 +32,41 @@ var Zeroize = &Pass{
 
 func runZeroize(ctx *Context, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
-		cfg := ctx.cfgOf(pkg, name, body)
-		reported := make(map[types.Object]bool)
-		runFlow(pkg, cfg, nil, flowHooks{
-			transfer: func(n ast.Node, fs factSet) {
-				zeroizeTransfer(ctx, pkg, n, fs)
-			},
-			report: func(n ast.Node, fs factSet) {
-				switch n := n.(type) {
-				case *ast.ReturnStmt:
-					for obj, f := range fs {
-						if reported[obj] || mentionsObj(pkg, n, obj) {
-							continue
-						}
-						reported[obj] = true
-						diags = append(diags, pkg.diag("zeroize", f.acquired,
-							"%s is not wiped on a path to the return at line %d; zero it (pki.WipeBytes) once encoded",
-							f.desc, pkg.Fset.Position(n.Pos()).Line))
-					}
-				case *ast.BlockStmt:
-					for obj, f := range fs {
-						if reported[obj] {
-							continue
-						}
-						reported[obj] = true
-						diags = append(diags, pkg.diag("zeroize", f.acquired,
-							"%s is not wiped when the function ends at line %d; zero it (pki.WipeBytes) once encoded",
-							f.desc, pkg.Fset.Position(n.End()).Line))
-					}
-				}
-			},
-		})
-	})
+	o := &obligation{ctx: ctx, pkg: pkg, tracks: isByteSlice, passKeeps: true,
+		// Alias moves: `y := x` or `y := x[:n]` re-keys the obligation
+		// (wiping either view zeroes the same backing array).
+		rekey: func(lhs []types.Object, rhs []ast.Expr, fs factSet) bool {
+			if len(rhs) != 1 || len(lhs) != 1 || lhs[0] == nil {
+				return false
+			}
+			src := aliasSource(pkg, rhs[0])
+			f, tracked := fs[src]
+			if src == nil || !tracked {
+				return false
+			}
+			delete(fs, src)
+			invalidateAssigned(fs, lhs)
+			fs[lhs[0]] = f
+			return true
+		},
+		rangeKill: func(r *ast.RangeStmt, obj types.Object) bool { return isZeroingLoop(pkg, r, obj) },
+		// Wiped by a callee (per summary) or by clear().
+		discharges: func(call *ast.CallExpr, fn *types.Func, param int, obj types.Object) bool {
+			return ctx.Summaries.of(fn).wipesParam(param) || isClearCall(pkg, call, obj)
+		},
+		acquire: func(_ token.Pos, call *ast.CallExpr, _ factSet) (string, bool) {
+			return secretProducer(ctx, pkg, call)
+		},
+		leak: func(f fact, line int, atEnd bool) {
+			where := "on a path to the return at"
+			if atEnd {
+				where = "when the function ends at"
+			}
+			diags = append(diags, pkg.diag("zeroize", f.acquired,
+				"%s is not wiped %s line %d; zero it (pki.WipeBytes) once encoded", f.desc, where, line))
+		}}
+	o.runBodies()
 	return diags
-}
-
-func zeroizeTransfer(ctx *Context, pkg *Package, n ast.Node, fs factSet) {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		zeroizeAssign(ctx, pkg, n, fs)
-	case *ast.RangeStmt:
-		for obj := range fs {
-			if isZeroingLoop(pkg, n, obj) {
-				delete(fs, obj)
-			}
-		}
-		killSecretEscapes(pkg, n, fs)
-	case *ast.DeferStmt, *ast.GoStmt:
-		// Deferred cleanup: `defer pki.WipeBytes(key)` (or a closure doing
-		// the same) runs on every path out of the function.
-		for obj := range fs {
-			if mentionsObj(pkg, n, obj) {
-				delete(fs, obj)
-			}
-		}
-	case *ast.ReturnStmt:
-		for obj := range fs {
-			delete(fs, obj)
-		}
-	default:
-		zeroizeCalls(ctx, pkg, n, fs)
-		killSecretEscapes(pkg, n, fs)
-	}
-}
-
-// zeroizeCalls kills facts wiped by a callee (per summary) or by clear().
-func zeroizeCalls(ctx *Context, pkg *Package, n ast.Node, fs factSet) {
-	applyCalls(pkg, n, func(call *ast.CallExpr) {
-		fn := calleeFunc(pkg, call)
-		sum := ctx.Summaries.of(fn)
-		for i, arg := range call.Args {
-			obj := identObj(pkg, arg)
-			if obj == nil {
-				continue
-			}
-			if _, tracked := fs[obj]; !tracked {
-				continue
-			}
-			if sum.wipesParam(argParamIndex(fn, i)) || isClearCall(pkg, call, obj) {
-				delete(fs, obj)
-			}
-		}
-	})
-}
-
-// killSecretEscapes discharges buffers that escape the function's control:
-// stored into a composite/field/map, captured, appended elsewhere,
-// converted. Unlike connleak, a plain argument pass keeps the obligation —
-// the callee reading the secret does not wipe it.
-func killSecretEscapes(pkg *Package, n ast.Node, fs factSet) {
-	killEscapedMentions(pkg, n, fs, nil)
-}
-
-func zeroizeAssign(ctx *Context, pkg *Package, as *ast.AssignStmt, fs factSet) {
-	lhs := make([]types.Object, len(as.Lhs))
-	for i, l := range as.Lhs {
-		lhs[i] = assignedObj(pkg, l)
-	}
-	errObj := pairedErr(lhs)
-
-	// Alias moves: `y := x` or `y := x[:n]` re-keys the obligation (wiping
-	// either view zeroes the same backing array).
-	if len(as.Rhs) == 1 && len(as.Lhs) == 1 && lhs[0] != nil {
-		if src := aliasSource(pkg, as.Rhs[0]); src != nil {
-			if f, tracked := fs[src]; tracked {
-				delete(fs, src)
-				invalidateAssigned(fs, lhs)
-				fs[lhs[0]] = f
-				return
-			}
-		}
-	}
-
-	var genCall *ast.CallExpr
-	if len(as.Rhs) == 1 {
-		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-			genCall = call
-		}
-	}
-	zeroizeCalls(ctx, pkg, as, fs)
-	killSecretEscapes(pkg, as, fs)
-	invalidateAssigned(fs, lhs)
-
-	if genCall != nil {
-		if desc, ok := secretProducer(ctx, pkg, genCall); ok {
-			for _, o := range lhs {
-				if o != nil && isByteSlice(o.Type()) {
-					fs[o] = fact{acquired: as.Pos(), desc: desc, err: errObj, errLive: errIsNil}
-				}
-			}
-		}
-	}
 }
 
 // aliasSource matches an RHS that views the same backing bytes: a plain
